@@ -182,7 +182,7 @@ bool write_json_artifact(const std::string& path, const std::string& model,
 /// plus the run's conservation totals, so a regression in fairness or
 /// accounting is visible in the archived artifact without re-running.
 bool write_slo_json(const std::string& path, int requests, double rate,
-                    long seed, const OnlineSimResult& res) {
+                    long seed, const OnlineReport& res) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -291,7 +291,7 @@ int main(int argc, char** argv) {
   const auto reqs = generate_tenant_workload(wrng, trace, tenants, requests,
                                              rate, load, 256, 64);
 
-  OnlineSimOptions sopt;
+  SchedulerOptions sopt;
   sopt.policy = SchedulerPolicy::kIterationLevel;
   sopt.exec = DecodeExec::kContinuous;
   sopt.max_batch = 16;
@@ -305,7 +305,7 @@ int main(int argc, char** argv) {
   sopt.record_decisions = false;
   sopt.admit_scan_limit = 256;
 
-  const OnlineSimResult sim =
+  const OnlineReport sim =
       simulate_online(model, pc.cluster, planned.plan, reqs, sopt);
   if (!sim.ok) {
     std::fprintf(stderr, "simulator leg failed: %s\n", sim.error.c_str());

@@ -73,10 +73,10 @@ ServingRow run_scheme(const std::string& scheme, const ModelSpec& model,
   ServingRow row;
   row.scheme = scheme;
   row.ppl = ppl;
-  OnlineSimOptions oopt;
+  SchedulerOptions oopt;
   oopt.policy = policy;
   oopt.exec = exec;
-  const OnlineSimResult r =
+  const OnlineReport r =
       simulate_online(model, pc.cluster, plan, reqs, oopt, faults, replan);
   if (!r.ok) {
     row.note = r.error;
@@ -87,7 +87,7 @@ ServingRow run_scheme(const std::string& scheme, const ModelSpec& model,
     row.note = std::to_string(r.migrations) + " migration(s) over " +
                std::to_string(r.replans.size()) + " replan event(s)";
   row.throughput = r.throughput_tokens_per_s;
-  row.latency_s = r.mean_latency_s;
+  row.latency_s = r.latency.mean_s;
   std::vector<double> lat;
   lat.reserve(r.requests.size());
   for (const RequestStats& s : r.requests)

@@ -37,9 +37,9 @@ int main() {
            "Mean lat (s)", "P95 lat (s)"});
   for (SchedulerPolicy policy : {SchedulerPolicy::kStaticBatching,
                                  SchedulerPolicy::kIterationLevel}) {
-    OnlineSimOptions opt;
+    SchedulerOptions opt;
     opt.policy = policy;
-    const OnlineSimResult r =
+    const OnlineReport r =
         simulate_online(model, cluster, planned.plan, requests, opt);
     if (!r.ok) {
       std::printf("serving failed: %s\n", r.error.c_str());
@@ -50,7 +50,7 @@ int main() {
                    : "iteration-level (ORCA)",
                std::to_string(r.completed), Table::fmt(r.makespan_s),
                Table::fmt(r.throughput_tokens_per_s),
-               Table::fmt(r.mean_latency_s), Table::fmt(r.p95_latency_s)});
+               Table::fmt(r.latency.mean_s), Table::fmt(r.latency.p95_s)});
   }
   std::printf("%s", t.to_string().c_str());
   std::printf("\niteration-level scheduling reuses the LLM-PQ plan "

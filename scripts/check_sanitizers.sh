@@ -3,33 +3,38 @@
 # (ASan+UBSan, then TSan) and runs the concurrency-heavy test binaries —
 # common (queues, thread pool), core (parallel assigner search incl. the
 # shared-incumbent ILP refinements and the CostProvider layer-time cache),
-# runtime (pipeline engine, threaded qgemm), serve (online engine admission
-# thread), session (step-level decode over the paged KV cache), continuous
-# (in-flight batching with KV preemption), fault (chaos suite: injected
-# faults through the threaded engine and serving loop), replan (live
-# migration: engine swaps under injected stragglers) and trace
-# (multi-threaded span recording) — under each.
-# Run from the repo root:
+# runtime (pipeline engine, threaded qgemm), sim (the simulator on the
+# shared dispatch loop), tenant (fair sharing, incl. a live OnlineEngine
+# with per-class engine routing), serve (online engine admission thread:
+# the dispatch loop's lock release around execution), session (step-level
+# decode over the paged KV cache), continuous (in-flight batching with KV
+# preemption), fault (chaos suite: injected faults through the threaded
+# engine and serving loop), replan (live migration: engine swaps under
+# injected stragglers) and trace (multi-threaded span recording) — under
+# each. Run from the repo root:
 #
 #   scripts/check_sanitizers.sh [extra ctest -R pattern]
+#
+# JOBS bounds the build parallelism (default: online CPUs).
 #
 # CI invokes this via scripts/ci.sh, or register it as a labeled ctest
 # with -DLLMPQ_SANITIZE_TESTS=ON and run `ctest -L sanitize`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-pattern="${1:-common|^core$|quant|runtime|serve|session|continuous|fault|replan|trace}"
+pattern="${1:-common|^core$|quant|runtime|^sim$|tenant|serve|session|continuous|fault|replan|trace}"
+jobs="${JOBS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)}"
 
 for mode in address thread; do
   build="build-${mode}san"
   echo "==== LLMPQ_SANITIZE=${mode} -> ${build} ===="
   cmake -B "${build}" -S . -DLLMPQ_SANITIZE="${mode}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
-  cmake --build "${build}" -j \
+  cmake --build "${build}" -j "${jobs}" \
     --target llmpq_tests_common llmpq_tests_core llmpq_tests_quant \
-             llmpq_tests_runtime llmpq_tests_serve llmpq_tests_session \
-             llmpq_tests_continuous llmpq_tests_fault llmpq_tests_replan \
-             llmpq_tests_trace
+             llmpq_tests_runtime llmpq_tests_sim llmpq_tests_tenant \
+             llmpq_tests_serve llmpq_tests_session llmpq_tests_continuous \
+             llmpq_tests_fault llmpq_tests_replan llmpq_tests_trace
   (cd "${build}" && ctest -R "${pattern}" --output-on-failure)
   # Sweep the quant suite across every kernel dispatch level: the SIMD
   # dequant-GEMM paths (unaligned word reads over packed rows, per-group

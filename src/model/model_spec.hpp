@@ -6,6 +6,9 @@
 
 namespace llmpq {
 
+/// Index into a model's vocabulary.
+using TokenId = std::int32_t;
+
 /// One linear operator inside a decoder layer (the unit the variance
 /// indicator reasons about: D_W is the weight's row dimension).
 struct LinearOp {

@@ -64,9 +64,9 @@ struct PipelineEngine::Impl {
   std::unique_ptr<MpmcQueue<StageMsg>> outbox;
 
   // Per stage, per local layer: paged KV pools. Sequences are session ids;
-  // the pool is unbounded here because plan feasibility was already gated
-  // by the planner's memory model — eviction/preemption is exercised at
-  // the KvCacheManager level (capped pools) by its unit suite.
+  // the pools are unbounded because plan feasibility was already gated by
+  // the planner's memory model, and preemption is the serving layer's
+  // decision (preempt_session).
   std::vector<std::vector<KvCacheManager>> kv;
 
   /// Master-side session table. `tokens` is prompt + committed sampled
@@ -187,10 +187,7 @@ struct PipelineEngine::Impl {
   int create_session(std::vector<TokenId> prompt) {
     const int id = next_session++;
     for (auto& stage : kv)
-      for (KvCacheManager& m : stage) {
-        m.begin_seq(id);
-        m.pin(id);  // engine sessions are never evictable
-      }
+      for (KvCacheManager& m : stage) m.begin_seq(id);
     Session s;
     s.tokens = std::move(prompt);
     sessions.emplace(id, std::move(s));

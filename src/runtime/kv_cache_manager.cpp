@@ -1,8 +1,8 @@
 #include "runtime/kv_cache_manager.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <new>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -17,11 +17,7 @@ KvCacheManager::KvCacheManager(std::size_t hidden,
 }
 
 KvCacheManager::Seq& KvCacheManager::seq_at(int seq, const char* who) {
-  auto it = seqs_.find(seq);
-  if (it == seqs_.end())
-    throw InvalidArgumentError(std::string("KvCacheManager::") + who +
-                               ": unknown sequence id");
-  return it->second;
+  return const_cast<Seq&>(std::as_const(*this).seq_at(seq, who));
 }
 
 const KvCacheManager::Seq& KvCacheManager::seq_at(int seq,
@@ -36,7 +32,6 @@ const KvCacheManager::Seq& KvCacheManager::seq_at(int seq,
 void KvCacheManager::begin_seq(int seq) {
   check_arg(seqs_.emplace(seq, Seq{}).second,
             "KvCacheManager::begin_seq: sequence id already live");
-  seqs_[seq].last_use = ++tick_;
 }
 
 void KvCacheManager::free_seq(int seq) {
@@ -47,56 +42,17 @@ void KvCacheManager::free_seq(int seq) {
   seqs_.erase(it);
 }
 
-void KvCacheManager::pin(int seq) { ++seq_at(seq, "pin").pinned; }
-
-void KvCacheManager::unpin(int seq) {
-  Seq& s = seq_at(seq, "unpin");
-  check_arg(s.pinned > 0, "KvCacheManager::unpin: sequence is not pinned");
-  --s.pinned;
-}
-
-bool KvCacheManager::evict_one(int keep) {
-  int victim = 0;
-  std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
-  bool found = false;
-  for (const auto& [id, s] : seqs_) {
-    if (id == keep || s.pinned > 0 || s.pages.empty()) continue;
-    if (s.last_use < oldest) {
-      oldest = s.last_use;
-      victim = id;
-      found = true;
-    }
-  }
-  if (!found) return false;
-  Seq& s = seqs_[victim];
-  for (std::size_t page : s.pages) free_.push_back(page);
-  s.pages.clear();
-  s.filled = 0;
-  ++evictions_;
-  if (preempt_) preempt_(victim);
-  return true;
-}
-
 void KvCacheManager::reserve(int seq, std::size_t target_len) {
   Seq& s = seq_at(seq, "reserve");
-  s.last_use = ++tick_;
   const std::size_t want = pages_for(target_len, options_.page_size);
-  if (want > 0) s.preempted_len = 0;  // snapshot consumed by re-prefill
   while (s.pages.size() < want) {
     if (!free_.empty()) {
       s.pages.push_back(free_.back());
       free_.pop_back();
-      continue;
-    }
-    if (options_.max_pages == 0 || pool_.size() < options_.max_pages) {
+    } else {
       pool_.push_back(std::make_unique<float[]>(page_floats()));
       s.pages.push_back(pool_.size() - 1);
-      continue;
     }
-    // Pool capped and no free page: preempt the coldest unpinned sequence.
-    // `s` itself is protected so a reservation can never cannibalize the
-    // sequence it serves.
-    if (!evict_one(seq)) throw std::bad_alloc();
   }
 }
 
@@ -114,7 +70,6 @@ void KvCacheManager::append(int seq, const float* k_vec, const float* v_vec) {
   std::copy(v_vec, v_vec + hidden_,
             page + (options_.page_size + slot) * hidden_);
   ++s.filled;
-  s.last_use = ++tick_;
 }
 
 const float* KvCacheManager::at(int seq, std::size_t pos, bool value,
@@ -136,22 +91,14 @@ const float* KvCacheManager::v_at(int seq, std::size_t pos) const {
   return at(seq, pos, /*value=*/true, "v_at");
 }
 
-std::size_t KvCacheManager::preempt(int seq) {
+void KvCacheManager::preempt(int seq) {
   Seq& s = seq_at(seq, "preempt");
   check_arg(!s.pages.empty(),
             "KvCacheManager::preempt: sequence holds no pages "
             "(double-preempt or never filled)");
-  const std::size_t snapshot = s.filled;
   for (std::size_t page : s.pages) free_.push_back(page);
   s.pages.clear();
   s.filled = 0;
-  s.preempted_len = snapshot;
-  ++preemptions_;
-  return snapshot;
-}
-
-std::size_t KvCacheManager::preempted_len(int seq) const {
-  return seq_at(seq, "preempted_len").preempted_len;
 }
 
 void KvCacheManager::truncate(int seq, std::size_t len) {

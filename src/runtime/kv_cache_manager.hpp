@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -14,12 +12,6 @@ struct KvCacheManagerOptions {
   /// rows of `hidden` floats each, so the allocation unit is
   /// 2 * page_size * hidden * sizeof(float) bytes.
   std::size_t page_size = 16;
-  /// Pool cap in pages. 0 = unbounded: the pool grows on demand and
-  /// reserve() never evicts (the engine's configuration — feasibility was
-  /// already checked by the planner's memory model). A positive cap turns
-  /// reserve() into alloc-or-evict-LRU-or-throw, the vLLM-style preemption
-  /// regime the unit tests exercise.
-  std::size_t max_pages = 0;
 };
 
 /// Paged key/value cache for one decoder layer: fixed-size pages owned by a
@@ -31,11 +23,10 @@ struct KvCacheManagerOptions {
 /// Contract notes:
 ///   * Pages are stable in memory once allocated (unique_ptr<float[]>), so
 ///     k_at()/v_at() pointers stay valid across append()s to any sequence.
-///   * reserve() is the only allocation choke point. Under a pool cap it
-///     evicts least-recently-used unpinned sequences (firing the preempt
-///     hook so the owner knows to re-prefill) and throws std::bad_alloc
-///     when nothing evictable remains — the signal the serving layer's
-///     degradation ladder consumes.
+///   * reserve() is the only allocation choke point. The pool is unbounded:
+///     plan feasibility was already checked by the planner's memory model,
+///     and the serving layer's CapacityScheduler ledger decides preemption
+///     (see preempt()).
 ///   * k_at()/v_at() validate like the legacy KvCache: unknown sequence or
 ///     `pos >= filled()` throws InvalidArgumentError instead of reading
 ///     stale pool memory.
@@ -60,25 +51,16 @@ class KvCacheManager {
   /// ids throw (freeing twice is a lifecycle bug worth surfacing).
   void free_seq(int seq);
   bool has_seq(int seq) const { return seqs_.count(seq) != 0; }
-  std::size_t num_seqs() const { return seqs_.size(); }
 
-  /// Ensures `seq` owns enough pages for `target_len` tokens, growing the
-  /// pool (unbounded) or evicting LRU unpinned sequences (capped) as
-  /// needed. Throws std::bad_alloc when the cap is reached and nothing can
-  /// be evicted. Never shrinks.
+  /// Ensures `seq` owns enough pages for `target_len` tokens, reusing
+  /// free pages before growing the pool. Never shrinks.
   void reserve(int seq, std::size_t target_len);
-
-  /// Pin/unpin `seq` against eviction (counted: nested pins require
-  /// matching unpins). The engine pins every live session.
-  void pin(int seq);
-  void unpin(int seq);
 
   /// Number of positions stored for `seq`.
   std::size_t filled(int seq) const;
 
   /// Appends one position's K/V vectors (hidden() floats each). The
-  /// position must already be reserve()d — append never allocates, so the
-  /// hot loop cannot hit the eviction machinery mid-pass.
+  /// position must already be reserve()d — append never allocates.
   void append(int seq, const float* k_vec, const float* v_vec);
 
   /// K/V vector of `seq` at position `pos` (`pos < filled(seq)`).
@@ -90,28 +72,12 @@ class KvCacheManager {
   /// already appended.
   void truncate(int seq, std::size_t len);
 
-  /// Voluntary eviction, the serving layer's preemption primitive: snapshots
-  /// the committed length (returned, and readable via preempted_len() until
-  /// the sequence regrows), returns every page to the free list, and resets
-  /// `filled` to zero so the owner can re-prefill exactly. Unlike reserve()'s
-  /// LRU eviction this ignores pins (the caller owns the decision) and does
-  /// not fire the preempt hook (the caller already knows). Preempting a
+  /// The serving layer's preemption primitive: returns every page of `seq`
+  /// to the free list and resets `filled` to zero, so the owner (which
+  /// keeps the sequence's tokens) can re-prefill it exactly. Preempting a
   /// sequence that holds no pages — never filled, or already preempted —
   /// throws InvalidArgumentError: double-preempt is a scheduler bug.
-  std::size_t preempt(int seq);
-
-  /// Length snapshotted by the last preempt() of `seq`; 0 once reserve()
-  /// grows the sequence again (the snapshot is consumed by re-prefill).
-  std::size_t preempted_len(int seq) const;
-
-  /// Sequences voluntarily preempted via preempt() since construction.
-  std::int64_t preemptions() const { return preemptions_; }
-
-  /// Called with the victim's id whenever reserve() evicts a sequence; the
-  /// owner must re-prefill that sequence before using it again (its filled
-  /// count is reset to zero, its pages are gone).
-  using PreemptHook = std::function<void(int seq)>;
-  void set_preempt_hook(PreemptHook hook) { preempt_ = std::move(hook); }
+  void preempt(int seq);
 
   /// Pages needed to hold `tokens` positions at `page_size` tokens each.
   static std::size_t pages_for(std::size_t tokens, std::size_t page_size) {
@@ -138,16 +104,11 @@ class KvCacheManager {
   std::size_t used_bytes() const {
     return (pool_.size() - free_.size()) * page_bytes();
   }
-  /// Sequences evicted by reserve() since construction.
-  std::int64_t evictions() const { return evictions_; }
 
  private:
   struct Seq {
     std::vector<std::size_t> pages;  ///< indices into pool_
     std::size_t filled = 0;
-    std::size_t preempted_len = 0;  ///< snapshot from the last preempt()
-    int pinned = 0;
-    std::uint64_t last_use = 0;
   };
 
   std::size_t page_bytes() const {
@@ -157,18 +118,12 @@ class KvCacheManager {
   Seq& seq_at(int seq, const char* who);
   const Seq& seq_at(int seq, const char* who) const;
   const float* at(int seq, std::size_t pos, bool value, const char* who) const;
-  /// Evicts the LRU unpinned sequence other than `keep`; false if none.
-  bool evict_one(int keep);
 
   std::size_t hidden_ = 0;
   KvCacheManagerOptions options_;
   std::vector<std::unique_ptr<float[]>> pool_;  ///< stable page storage
   std::vector<std::size_t> free_;               ///< free page indices
   std::unordered_map<int, Seq> seqs_;
-  PreemptHook preempt_;
-  std::uint64_t tick_ = 0;
-  std::int64_t evictions_ = 0;
-  std::int64_t preemptions_ = 0;
 };
 
 }  // namespace llmpq

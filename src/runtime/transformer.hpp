@@ -12,8 +12,6 @@
 
 namespace llmpq {
 
-using TokenId = std::int32_t;
-
 /// One sequence's share of a ragged batch: `len` new token rows for cache
 /// sequence `seq`. A ragged pass concatenates spans sequence-major with no
 /// padding at all, so every row is a real token — per-sequence math is

@@ -94,10 +94,4 @@ HealthVerdict HealthMonitor::observe(const HealthSample& sample) {
   return verdict;
 }
 
-void HealthMonitor::reset_baseline() {
-  warmup_seen_ = 0;
-  snap_.baseline_s = 0.0;
-  streak_ = 0;
-}
-
 }  // namespace llmpq

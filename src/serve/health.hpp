@@ -22,7 +22,11 @@ namespace llmpq {
 ///
 /// Flap control: a verdict needs `hysteresis` consecutive flagged samples,
 /// and after any verdict the monitor stays silent for `cooldown` samples so
-/// a repair has time to take effect before the loop re-evaluates.
+/// a repair has time to take effect before the loop re-evaluates. The
+/// baseline is never re-learned: keeping the healthy-era baseline after a
+/// migration lets a persisting bottleneck re-trip after the cooldown, so
+/// repairs iterate until the plan is healthy again instead of normalizing
+/// a still-degraded state.
 
 /// One per-dispatch observation. Counters are cumulative (the monitor
 /// diffs them internally where needed).
@@ -75,13 +79,6 @@ class HealthMonitor {
   /// priority when several trip at once: straggler, memory pressure,
   /// overload.
   HealthVerdict observe(const HealthSample& sample);
-
-  /// Forgets the learned baseline (the next `warmup` samples re-learn it).
-  /// The control loop deliberately does NOT call this after a migration:
-  /// keeping the healthy-era baseline lets a persisting bottleneck re-trip
-  /// after the cooldown, so repairs iterate until the plan is healthy
-  /// again instead of normalizing a still-degraded state.
-  void reset_baseline();
 
   /// Everything the metrics exporter dumps (llmpq-metrics/v1).
   struct Snapshot {

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <exception>
 #include <new>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -38,18 +39,10 @@ std::vector<std::vector<TokenId>> pad_left(
   return out;
 }
 
-struct DecisionTiming {
-  double total_s = 0.0;
-  double prefill_s = -1.0;  ///< prefill share of a kPrefillPass decision
-};
-
 /// Engine input for one scheduler decision, snapshotted from the request
-/// tables: the unpadded per-request rows (prompt for a prefill pass, full
-/// context for a replay decode round), their padded counterpart when the
-/// execution mode needs one, and how many output tokens each row
-/// contributes to its request. Built while the request tables are stable —
-/// the live engine holds its lock, so concurrent submit() calls cannot
-/// touch the deques mid-read.
+/// tables: each row's full context so far (just the prompt for a fresh
+/// prefill or join), the padded counterpart replay execution needs, and
+/// how many output tokens each row contributes to its request.
 struct DecisionInputs {
   std::vector<std::vector<TokenId>> rows;    ///< unpadded, row-aligned
   std::vector<std::vector<TokenId>> padded;  ///< replay execution only
@@ -61,251 +54,71 @@ DecisionInputs prepare_decision(
     SchedulerPolicy policy, DecodeExec exec, const DispatchDecision& d,
     const std::deque<std::pair<std::vector<TokenId>, int>>& prompts,
     const std::deque<std::vector<TokenId>>& generated) {
+  // A static-batching prefill bundles its rows' whole generation; every
+  // other decision yields at most one token per row.
+  const bool bundled = policy == SchedulerPolicy::kStaticBatching &&
+                       d.phase == ServePhase::kPrefillPass;
   DecisionInputs in;
   in.rows.reserve(d.request_ids.size());
   in.take.reserve(d.request_ids.size());
-  if (exec == DecodeExec::kContinuous) {
-    // Continuous rounds mix decoding rows with joining rows (fresh
-    // prompts and preempt-resumes). Every row's engine input is its full
-    // context so far — for a fresh join that is just its prompt — and
-    // every row yields at most one kept token this iteration.
-    for (int id : d.request_ids) {
-      const std::size_t sid = static_cast<std::size_t>(id);
-      std::vector<TokenId> seq = prompts[sid].first;
-      seq.insert(seq.end(), generated[sid].begin(), generated[sid].end());
-      in.rows.push_back(std::move(seq));
-      const int want =
-          prompts[sid].second - static_cast<int>(generated[sid].size());
-      in.take.push_back(
-          static_cast<std::size_t>(std::clamp(want, 0, 1)));
-    }
-    return in;
+  for (int id : d.request_ids) {
+    const auto& [prompt, gen_tokens] = prompts[static_cast<std::size_t>(id)];
+    const auto& done = generated[static_cast<std::size_t>(id)];
+    std::vector<TokenId> seq = prompt;
+    seq.insert(seq.end(), done.begin(), done.end());
+    in.rows.push_back(std::move(seq));
+    const int want = bundled ? gen_tokens
+                             : std::min(1, gen_tokens -
+                                               static_cast<int>(done.size()));
+    in.take.push_back(static_cast<std::size_t>(std::max(0, want)));
   }
-  if (d.phase == ServePhase::kPrefillPass) {
-    in.gen_call = policy == SchedulerPolicy::kStaticBatching
-                      ? std::max(1, d.padded_gen)
-                      : 1;
-    for (int id : d.request_ids) {
-      const auto& p = prompts[static_cast<std::size_t>(id)];
-      in.rows.push_back(p.first);
-      const int want = policy == SchedulerPolicy::kStaticBatching
-                           ? p.second
-                           : std::min(1, p.second);
-      in.take.push_back(static_cast<std::size_t>(std::max(0, want)));
-    }
-    if (exec == DecodeExec::kReplay)
-      in.padded = pad_left(in.rows, static_cast<std::size_t>(d.padded_prompt));
-  } else {
-    // Decode round: each row's full context so far. The session path needs
-    // it only to rebuild a lost session; replay re-runs it wholesale.
-    for (int id : d.request_ids) {
-      const std::size_t sid = static_cast<std::size_t>(id);
-      std::vector<TokenId> seq = prompts[sid].first;
-      seq.insert(seq.end(), generated[sid].begin(), generated[sid].end());
-      in.rows.push_back(std::move(seq));
-      in.take.push_back(1);
-    }
-    if (exec == DecodeExec::kReplay)
-      in.padded = pad_left(in.rows, static_cast<std::size_t>(d.max_context));
-  }
+  if (bundled) in.gen_call = std::max(1, d.padded_gen);
+  if (exec == DecodeExec::kReplay)
+    in.padded = pad_left(in.rows,
+                         static_cast<std::size_t>(
+                             d.phase == ServePhase::kPrefillPass
+                                 ? d.padded_prompt
+                                 : d.max_context));
   return in;
 }
 
-struct DecisionRun {
-  std::vector<std::vector<TokenId>> out;  ///< engine output, row-aligned
-  DecisionTiming timing;
-  std::vector<double> stage_busy_s;  ///< per-stage attribution (health)
-};
-
-/// Serving-layer per-stage fault sites ("serve.stage.<p>"): evaluated
-/// exactly once per dispatch per engine stage, mirroring the check the
-/// online simulator runs per decision per plan stage — one fault plan
-/// drives the same straggler signal through both control loops. The
-/// runtime sleeps for real here and reports the injected delay so the
-/// health monitor can attribute it to the stage; throw/alloc rules fail
-/// the dispatch like any other serving fault.
-std::vector<double> check_serve_stage_sites(int num_stages) {
-  std::vector<double> delays(static_cast<std::size_t>(num_stages), 0.0);
-  if (!FaultInjector::armed()) return delays;
-  for (int p = 0; p < num_stages; ++p) {
-    const std::string site = "serve.stage." + std::to_string(p);
-    const FaultAction action = FaultInjector::check(site.c_str());
-    switch (action.kind) {
-      case FaultKind::kNone:
-      case FaultKind::kDrop:
-        break;
-      case FaultKind::kDelay:
-      case FaultKind::kSlow:
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(action.delay_s));
-        delays[static_cast<std::size_t>(p)] += action.delay_s;
-        break;
-      case FaultKind::kThrow:
-        throw InjectedFault(site, action.rule ? action.rule->message : "");
-      case FaultKind::kAllocFail:
-        throw std::bad_alloc();
-    }
+/// Serving-layer fault site, acted on the way FAULT_POINT acts: a delay
+/// or slow rule sleeps for real and returns the injected delay, kDrop is a
+/// no-op, and throw/alloc rules fail the dispatch like any other serving
+/// fault. `fired` counts the rules that fired (OnlineReport::fault_events).
+double serve_fault_site(const std::string& site, int& fired) {
+  const FaultAction action = FaultInjector::check(site.c_str());
+  if (action.kind != FaultKind::kNone) ++fired;
+  switch (action.kind) {
+    case FaultKind::kNone:
+    case FaultKind::kDrop:
+      return 0.0;
+    case FaultKind::kDelay:
+    case FaultKind::kSlow:
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(action.delay_s));
+      return action.delay_s;
+    case FaultKind::kThrow:
+      throw InjectedFault(site, action.rule ? action.rule->message : "");
+    case FaultKind::kAllocFail:
+      throw std::bad_alloc();
   }
-  return delays;
+  return 0.0;
 }
 
-/// Maps request ids to persistent engine sessions for the iteration-level
-/// session path. Prefill decisions begin sessions; every decode round
-/// advances them by one token with the KV cache intact. Retries are
-/// idempotent: the decision's per-request `contexts` say exactly how far
-/// each session should be, so a row whose session already advanced past a
-/// half-failed round reuses its sampled token instead of advancing twice,
-/// and a row whose session is gone (degrade step swapped the engine) is
-/// rebuilt from its full context — prefilling that context yields exactly
-/// the round's greedy token.
-class SessionExecutor {
- public:
-  /// Per-class engine routing (OnlineEngineOptions::class_engine): rows
-  /// whose decision class is > 0 execute on the router's variant; class 0
-  /// (and a nullptr from the router) stays on the base engine. Variants
-  /// must be address-stable for the executor's lifetime (the degrade
-  /// ladder's lazily-built engines are).
-  void set_router(std::function<PipelineEngine*(int)> router) {
-    router_ = std::move(router);
-  }
-
-  /// Points the executor at (a possibly new) base engine. A swap releases
-  /// every session — KV held on the previous base is useless to the
-  /// replacement, and class-variant sessions are dropped with it so every
-  /// request resumes from its authoritative context on the next decision.
-  void bind(PipelineEngine* engine) {
-    if (engine_ == engine) return;
-    release_all();
-    engine_ = engine;
-  }
-
-  /// Ends sessions of requests that reached a terminal outcome since the
-  /// last call (completed, timed out, failed), returning their KV pages.
-  /// `finished` is the scheduler's append-only completion log.
-  void reconcile(const std::vector<RequestStats>& finished) {
-    for (; finished_seen_ < finished.size(); ++finished_seen_) {
-      auto it = sessions_.find(finished[finished_seen_].id);
-      if (it == sessions_.end()) continue;
-      if (it->second.eng->has_session(it->second.sid))
-        it->second.eng->end_session(it->second.sid);
-      sessions_.erase(it);
-    }
-  }
-
-  void release_all() {
-    for (const auto& [rid, s] : sessions_)
-      if (s.eng->has_session(s.sid)) s.eng->end_session(s.sid);
-    sessions_.clear();
-  }
-
-  /// Executes one decision, returning one token per row. Per engine at
-  /// most two ragged calls: one prefill over rows that need their context
-  /// materialized, one decode_step over rows advancing by a token (one
-  /// engine total unless class routing is armed).
-  std::vector<TokenId> run(const DispatchDecision& d,
-                           const DecisionInputs& in,
-                           const GenerateOptions& gopts) {
-    // Capacity-planner evictions first: release the victims' KV pages
-    // (their tokens stay on the session, so resumption is a re-prefill of
-    // the full history). Idempotent across retries — a session already
-    // preempted has nothing committed and preempt_session is a no-op; a
-    // victim whose release never executed (the fault landed first) simply
-    // decode-steps on resume, which is equally exact.
-    for (int rid : d.preempted) {
-      auto it = sessions_.find(rid);
-      if (it != sessions_.end() && it->second.eng->has_session(it->second.sid))
-        it->second.eng->preempt_session(it->second.sid);
-    }
-    const std::size_t n = d.request_ids.size();
-    std::vector<TokenId> out(n, 0);
-    // Rows group by (engine, call kind); groups keep first-seen order so
-    // the call sequence is deterministic.
-    struct Group {
-      PipelineEngine* eng;
-      std::vector<int> sids;
-      std::vector<std::size_t> rows;
-    };
-    std::vector<Group> prefills, steps;
-    const auto enlist = [](std::vector<Group>& groups, PipelineEngine* eng,
-                           int sid, std::size_t row) {
-      for (Group& g : groups) {
-        if (g.eng != eng) continue;
-        g.sids.push_back(sid);
-        g.rows.push_back(row);
-        return;
-      }
-      groups.push_back(Group{eng, {sid}, {row}});
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-      const int rid = d.request_ids[i];
-      const auto ctx = static_cast<std::size_t>(d.contexts[i]);
-      PipelineEngine* eng =
-          engine_for(i < d.classes.size() ? d.classes[i] : 0);
-      auto it = sessions_.find(rid);
-      if (it != sessions_.end() &&
-          (!it->second.eng->has_session(it->second.sid) ||
-           it->second.eng != eng)) {
-        // Lost to a restart, or the row's class routes elsewhere now (a
-        // degrade swap rebound the base): drop and rebuild below.
-        if (it->second.eng->has_session(it->second.sid))
-          it->second.eng->end_session(it->second.sid);
-        sessions_.erase(it);
-        it = sessions_.end();
-      }
-      if (it == sessions_.end()) {
-        const int sid = eng->begin_session(in.rows[i]);
-        sessions_.emplace(rid, Sess{eng, sid});
-        enlist(prefills, eng, sid, i);
-        continue;
-      }
-      const int sid = it->second.sid;
-      const std::size_t len = eng->session_length(sid);
-      if (len == ctx + 1) {
-        // This round already advanced the session (a later group of the
-        // same decision failed, and the scheduler is retrying the round):
-        // its token was sampled last time — reuse it.
-        out[i] = eng->session_back(sid);
-      } else if (len == ctx && eng->session_committed(sid) == 0) {
-        enlist(prefills, eng, sid, i);  // begun, never prefilled (retry)
-      } else if (len == ctx) {
-        enlist(steps, eng, sid, i);
-      } else {
-        // Inconsistent with the scheduler's view (should not happen):
-        // rebuild from the authoritative request tables.
-        eng->end_session(sid);
-        const int fresh = eng->begin_session(in.rows[i]);
-        sessions_[rid] = Sess{eng, fresh};
-        enlist(prefills, eng, fresh, i);
-      }
-    }
-    for (const Group& g : prefills) {
-      const std::vector<TokenId> toks = g.eng->prefill(g.sids, gopts);
-      for (std::size_t j = 0; j < toks.size(); ++j) out[g.rows[j]] = toks[j];
-    }
-    for (const Group& g : steps) {
-      const std::vector<TokenId> toks = g.eng->decode_step(g.sids, gopts);
-      for (std::size_t j = 0; j < toks.size(); ++j) out[g.rows[j]] = toks[j];
-    }
-    return out;
-  }
-
- private:
-  struct Sess {
-    PipelineEngine* eng;  ///< engine holding the session's KV
-    int sid;
-  };
-
-  PipelineEngine* engine_for(int cls) const {
-    if (cls > 0 && router_)
-      if (PipelineEngine* e = router_(cls)) return e;
-    return engine_;
-  }
-
-  PipelineEngine* engine_ = nullptr;
-  std::function<PipelineEngine*(int)> router_;
-  std::unordered_map<int, Sess> sessions_;  ///< request id -> session
-  std::size_t finished_seen_ = 0;           ///< reconcile() cursor
-};
+/// Per-stage sites ("serve.stage.<p>"): evaluated exactly once per
+/// dispatch per engine stage, the cadence the simulator uses per plan
+/// stage — one fault plan drives the same straggler signal through both
+/// back-ends. Returns the injected delay per stage so the health monitor
+/// can attribute it.
+std::vector<double> check_serve_stage_sites(int num_stages, int& fired) {
+  std::vector<double> delays(static_cast<std::size_t>(num_stages), 0.0);
+  if (!FaultInjector::armed()) return delays;
+  for (int p = 0; p < num_stages; ++p)
+    delays[static_cast<std::size_t>(p)] =
+        serve_fault_site("serve.stage." + std::to_string(p), fired);
+  return delays;
+}
 
 /// Static batching over ephemeral sessions: one ragged prefill for the
 /// whole batch, then one decode round per outstanding token with only the
@@ -351,189 +164,27 @@ std::vector<std::vector<TokenId>> run_static_session(
   return out;
 }
 
-/// Runs the engine on prepared inputs. `sessions` is non-null exactly for
-/// the iteration-level session path. Touches no request tables, so the
-/// live engine calls it with its lock released.
-DecisionRun execute_decision(PipelineEngine& engine,
-                             SessionExecutor* sessions, ServePhase phase,
-                             const DispatchDecision& d,
-                             const DecisionInputs& in,
-                             const GenerateOptions& gopts) {
-  // Chaos site for serving-layer faults (a throw here fails the dispatch
-  // without involving the pipeline at all).
-  FAULT_POINT("serve.dispatch");
-  DecisionRun run;
-  StopwatchNs wall;
-  // Per-stage straggler sites first (inside the dispatch wall clock), then
-  // a stats snapshot so the health sample can attribute this dispatch's
-  // cost: measured per-stage busy delta plus the serving-level injected
-  // delay per stage.
-  const std::vector<double> injected =
-      check_serve_stage_sites(engine.num_stages());
-  const EngineStats before = engine.stats();
-  const double prefill_before = before.prefill.seconds;
-  if (sessions != nullptr) {
-    const std::vector<TokenId> toks = sessions->run(d, in, gopts);
-    run.out.reserve(toks.size());
-    for (TokenId t : toks) run.out.push_back({t});
-  } else if (!in.padded.empty()) {
-    run.out = engine.generate(in.padded, in.gen_call, gopts);
-  } else {
-    run.out = run_static_session(engine, in, gopts);
-  }
-  run.timing.total_s = wall.elapsed_s();
-  const EngineStats after = engine.stats();
-  run.stage_busy_s.resize(injected.size(), 0.0);
-  for (std::size_t p = 0; p < injected.size(); ++p) {
-    double busy = injected[p];
-    if (p < before.stages.size() && p < after.stages.size())
-      busy += std::max(0.0, after.stages[p].busy_s - before.stages[p].busy_s);
-    run.stage_busy_s[p] = busy;
-  }
-  if (phase == ServePhase::kPrefillPass || d.num_join > 0)
-    run.timing.prefill_s =
-        std::max(0.0, after.prefill.seconds - prefill_before);
-  return run;
-}
-
-/// Shared recovery policy for the live loop and trace replay: counts
-/// memory faults, walks the degradation ladder, and restarts a broken
-/// engine within the restart budget. Returns false when the budget is
-/// exhausted and the caller should surface the error.
-struct FailureGovernor {
-  const OnlineEngineOptions& options;
-  PipelineEngine* engine;
-  int engine_restarts = 0;
-  int degrades = 0;
-  int mem_faults = 0;  ///< since the last degrade step
-  int total_mem_faults = 0;
-  int degrade_level = 0;
-
-  /// Set when a degrade hook returned an incompatible engine; handle()
-  /// then reports no recovery and the caller surfaces this instead of the
-  /// dispatch error. handle() itself never throws — it runs outside the
-  /// serving loop's try block.
-  std::string validation_error;
-
-  bool handle(bool mem_fault) {
-    if (mem_fault) {
-      ++mem_faults;
-      ++total_mem_faults;
-      TRACE_INSTANT("serve", "mem-fault");
-      if (options.degrade &&
-          mem_faults >= options.degrade_after_mem_faults) {
-        if (PipelineEngine* next = options.degrade(++degrade_level)) {
-          // Don't trust the hook: a replacement serving a different model
-          // would silently corrupt every in-flight request. Mismatches are
-          // terminal — there is no safe engine to fall back to.
-          const std::string mismatch =
-              validate_replacement_engine(*engine, *next);
-          if (!mismatch.empty()) {
-            validation_error =
-                "OnlineEngineOptions::degrade returned an incompatible "
-                "engine at level " +
-                std::to_string(degrade_level) + ": " + mismatch;
-            return false;
-          }
-          // Step down the ladder (lower bitwidth / smaller micro-batch)
-          // and give the cheaper engine a fresh fault budget.
-          engine = next;
-          ++degrades;
-          mem_faults = 0;
-          TRACE_INSTANT("serve", "degrade");
-        }
-      }
-    }
-    if (!engine->healthy()) {
-      if (engine_restarts >= options.max_engine_restarts) return false;
-      engine->restart();
-      ++engine_restarts;
-      TRACE_INSTANT("serve", "engine-restart");
-    }
-    return true;
-  }
-};
-
-/// The control-loop state both serving back-ends share: one health sample
-/// per successful dispatch, verdicts consulted against the replan hook,
-/// and the resulting decision log. after_dispatch() returns the validated
-/// replacement engine when a migration happened (the caller rebinds
-/// sessions — releasing KV on the old engine and re-prefilling on the new
-/// one, the KvCacheManager::preempt + re-prefill primitive) and throws
-/// Error when the hook hands back an incompatible engine.
-struct ControlLoop {
-  const OnlineEngineOptions& options;
-  HealthMonitor monitor;
-  std::vector<ReplanEvent> replans;
-  int migrations = 0;
-
-  explicit ControlLoop(const OnlineEngineOptions& opts)
-      : options(opts), monitor(opts.health) {}
-
-  bool active() const {
-    return static_cast<bool>(options.replan) || !options.metrics_out.empty();
-  }
-
-  PipelineEngine* after_dispatch(const DispatchDecision& d,
-                                 const DecisionRun& run, int queue_depth,
-                                 int preemptions, int mem_faults,
-                                 PipelineEngine* current) {
-    if (!active()) return nullptr;
-    HealthSample sample;
-    sample.seq = d.seq;
-    sample.dispatch_s = run.timing.total_s;
-    sample.stage_busy_s = run.stage_busy_s;
-    sample.queue_depth = queue_depth;
-    sample.preemptions = preemptions;
-    sample.mem_faults = mem_faults;
-    const HealthVerdict verdict = monitor.observe(sample);
-    if (verdict.healthy() || !options.replan) return nullptr;
-    const ReplanOutcome out = options.replan(verdict);
-    ReplanEvent ev;
-    ev.at_seq = verdict.at_seq;
-    ev.status = verdict.status;
-    ev.bottleneck_stage = verdict.bottleneck_stage;
-    ev.severity = verdict.severity;
-    ev.delta = out.delta;
-    ev.applied = out.delta.kind != PlanDeltaKind::kNone &&
-                 out.engine != nullptr && out.engine != current;
-    replans.push_back(ev);
-    if (!ev.applied) return nullptr;
-    const std::string mismatch =
-        validate_replacement_engine(*current, *out.engine);
-    if (!mismatch.empty())
-      throw Error(
-          "OnlineEngineOptions::replan returned an incompatible engine: " +
-          mismatch);
-    ++migrations;
-    TRACE_INSTANT("serve", "migrate");
-    return out.engine;
-  }
-};
-
 /// Periodic llmpq-metrics/v1 dump of the control loop's view: health
 /// snapshot (baseline, EWMAs, per-stage busy, counters), the request
 /// latency summary so far (completed requests, arrival -> last token),
 /// and the live engine's cumulative stats. Callers hold the request
 /// tables stable (the live loop runs this under its lock).
-void export_serve_metrics(const std::string& path, const ControlLoop& control,
-                          const PipelineEngine& engine,
-                          const ServeScheduler* scheduler = nullptr) {
-  const HealthMonitor::Snapshot snap = control.monitor.snapshot();
+void export_serve_metrics(const std::string& path, const DispatchLoop& loop,
+                          const PipelineEngine& engine) {
+  const HealthMonitor::Snapshot snap = loop.monitor()->snapshot();
   MetricsRegistry reg;
-  if (scheduler != nullptr) {
-    std::vector<double> latencies;
-    for (const RequestStats& r : scheduler->finished()) {
-      if (r.outcome != RequestOutcome::kCompleted) continue;
-      latencies.push_back(r.finish_s - r.arrival_s);
-    }
-    reg.set_latency("serve.request_latency", summarize_latency(std::move(latencies)));
-    const OutcomeCounts oc = scheduler->outcomes();
-    reg.set_value("serve.requests.completed", oc.completed);
-    reg.set_value("serve.requests.timed_out", oc.timed_out);
-    reg.set_value("serve.requests.rejected", oc.rejected);
-    reg.set_value("serve.requests.failed", oc.failed);
+  std::vector<double> latencies;
+  for (const RequestStats& r : loop.scheduler().finished()) {
+    if (r.outcome != RequestOutcome::kCompleted) continue;
+    latencies.push_back(r.finish_s - r.arrival_s);
   }
+  reg.set_latency("serve.request_latency",
+                  summarize_latency(std::move(latencies)));
+  const OutcomeCounts oc = loop.scheduler().outcomes();
+  reg.set_value("serve.requests.completed", oc.completed);
+  reg.set_value("serve.requests.timed_out", oc.timed_out);
+  reg.set_value("serve.requests.rejected", oc.rejected);
+  reg.set_value("serve.requests.failed", oc.failed);
   reg.set_value("serve.health.samples", snap.samples);
   reg.set_value("serve.health.verdicts", snap.verdicts);
   reg.set_value("serve.health.baseline_s", snap.baseline_s);
@@ -541,14 +192,34 @@ void export_serve_metrics(const std::string& path, const ControlLoop& control,
   reg.set_value("serve.health.queue_depth", snap.queue_depth);
   reg.set_value("serve.health.preemptions", snap.preemptions);
   reg.set_value("serve.health.mem_faults", snap.mem_faults);
-  reg.set_value("serve.health.migrations", control.migrations);
+  reg.set_value("serve.health.migrations", loop.migrations());
   reg.set_value("serve.health.replans",
-                static_cast<double>(control.replans.size()));
+                static_cast<double>(loop.replans().size()));
   for (std::size_t p = 0; p < snap.stage_busy_ewma_s.size(); ++p)
     reg.set_value("serve.health.stage" + std::to_string(p) + ".busy_ewma_s",
                   snap.stage_busy_ewma_s[p]);
   reg.set_engine("serve.engine", engine.stats());
   (void)reg.write_json_file(path);
+}
+
+/// Submits a request to the scheduler under the next id, which indexes the
+/// request tables; both grow by one row. Returns the id.
+int add_request(ServeScheduler& scheduler,
+                std::deque<std::pair<std::vector<TokenId>, int>>& prompts,
+                std::deque<std::vector<TokenId>>& generated, double arrival_s,
+                std::vector<TokenId> prompt, int gen_tokens, int tenant_id,
+                int req_class) {
+  ServeRequest r;
+  r.id = static_cast<int>(prompts.size());
+  r.arrival_s = arrival_s;
+  r.prompt_len = static_cast<int>(prompt.size());
+  r.gen_tokens = gen_tokens;
+  r.tenant_id = tenant_id;
+  r.req_class = req_class;
+  scheduler.submit(r);  // validates shape, tenant and stream state
+  prompts.emplace_back(std::move(prompt), gen_tokens);
+  generated.emplace_back();
+  return r.id;
 }
 
 std::string describe_exception(const std::exception_ptr& err) {
@@ -561,68 +232,382 @@ std::string describe_exception(const std::exception_ptr& err) {
   }
 }
 
-/// Appends each row's kept output tokens to its request's generated row.
-/// Called with the request tables stable again (the live engine re-takes
-/// its lock first).
-void commit_decision(const DispatchDecision& d, const DecisionInputs& in,
-                     const std::vector<std::vector<TokenId>>& out,
-                     std::deque<std::vector<TokenId>>& generated) {
-  for (std::size_t i = 0; i < d.request_ids.size(); ++i) {
-    const std::size_t id = static_cast<std::size_t>(d.request_ids[i]);
-    const std::size_t take = std::min(out[i].size(), in.take[i]);
-    generated[id].insert(generated[id].end(), out[i].begin(),
-                         out[i].begin() + static_cast<std::ptrdiff_t>(take));
-  }
+/// The health monitor runs when a replan hook consumes its verdicts or the
+/// metrics export reads its snapshot.
+const HealthMonitorOptions* control_health(const OnlineEngineOptions& o) {
+  return o.replan || !o.metrics_out.empty() ? &o.health : nullptr;
 }
 
-OnlineReport build_report(const ServeScheduler& scheduler, double makespan_s,
-                          const std::deque<std::vector<TokenId>>& generated,
-                          const FailureGovernor* gov = nullptr,
-                          const std::vector<ReplanEvent>* replans = nullptr,
-                          int migrations = 0) {
-  OnlineReport rep;
-  rep.requests = scheduler.finished();
-  rep.decisions = scheduler.decision_log();
-  rep.makespan_s = makespan_s;
-  // Throughput and the latency summaries cover served requests only —
-  // folding rejected/timed-out requests in would make a lossy run look
-  // faster, not slower.
-  std::int64_t tokens_out = 0;
-  std::vector<double> latencies, queue_delays, prefills;
-  latencies.reserve(rep.requests.size());
-  queue_delays.reserve(rep.requests.size());
-  prefills.reserve(rep.requests.size());
-  for (const RequestStats& r : rep.requests) {
-    if (r.outcome != RequestOutcome::kCompleted) continue;
-    ++rep.completed;
-    tokens_out += r.gen_tokens;
-    latencies.push_back(r.finish_s - r.arrival_s);
-    queue_delays.push_back(r.queue_delay_s);
-    prefills.push_back(r.prefill_s);
+/// The live engine's clock: wall time since construction. The loop runs
+/// with the engine's lock held and releases it around each execution, so
+/// submit() can enqueue while the engine computes; waits sleep on the
+/// condition variable that submit() and close() signal.
+class WallClock final : public DispatchClock {
+ public:
+  WallClock(const StopwatchNs& clock, std::unique_lock<std::mutex>& lk,
+            std::condition_variable& cv)
+      : clock_(clock), lk_(lk), cv_(cv) {}
+
+  double now() override { return clock_.elapsed_s(); }
+
+  void wait(double now, double until) override {
+    // Either block for new submissions (unbounded wait) or sleep until the
+    // scheduler's deadline — the stale timer that bounds a lone request's
+    // wait at arrival + max_wait_s, or a retry-backoff or request-deadline
+    // wakeup. Submissions wake us early.
+    if (std::isinf(until))
+      cv_.wait(lk_);
+    else
+      cv_.wait_for(lk_,
+                   std::chrono::duration<double>(std::max(1e-4, until - now)));
   }
-  rep.preemptions = scheduler.preemptions();
-  rep.forced_joins = scheduler.forced_joins();
-  rep.tenants = scheduler.tenant_summaries();
-  const OutcomeCounts oc = scheduler.outcomes();
-  rep.timed_out = oc.timed_out;
-  rep.rejected = oc.rejected;
-  rep.failed = oc.failed;
-  rep.retries = oc.retries;
-  if (gov != nullptr) {
-    rep.engine_restarts = gov->engine_restarts;
-    rep.degrades = gov->degrades;
-    rep.mem_faults = gov->total_mem_faults;
+
+  double begin() override {
+    lk_.unlock();
+    return clock_.elapsed_s();
   }
-  if (replans != nullptr) rep.replans = *replans;
-  rep.migrations = migrations;
-  rep.throughput_tokens_per_s =
-      makespan_s > 0.0 ? static_cast<double>(tokens_out) / makespan_s : 0.0;
-  rep.latency = summarize_latency(std::move(latencies));
-  rep.queue_delay = summarize_latency(std::move(queue_delays));
-  rep.prefill = summarize_latency(std::move(prefills));
-  rep.generated.assign(generated.begin(), generated.end());
-  return rep;
-}
+
+  double end(double) override {
+    lk_.lock();
+    return clock_.elapsed_s();
+  }
+
+  double makespan(double last_finish_s) override { return last_finish_s; }
+
+ private:
+  const StopwatchNs& clock_;
+  std::unique_lock<std::mutex>& lk_;
+  std::condition_variable& cv_;
+};
+
+/// Runs decisions on the real engine. Iteration-level serving maps request
+/// ids to persistent engine sessions: prefill decisions begin them, every
+/// decode round advances them by one token with the KV cache intact.
+/// Retries are idempotent: the decision's per-request `contexts` say
+/// exactly how far each session should be, so a row whose session already
+/// advanced past a half-failed round reuses its sampled token instead of
+/// advancing twice, and a row whose session is gone (an engine swap or
+/// restart) is rebuilt from its full context — prefilling that context
+/// yields exactly the round's greedy token. The executor also owns the
+/// recovery policy (count memory faults, walk the degradation ladder,
+/// restart a broken engine within the restart budget) and live engine
+/// swaps for applied re-plan deltas.
+class EngineExecutor final : public DispatchExecutor {
+ public:
+  EngineExecutor(PipelineEngine& engine, const OnlineEngineOptions& options,
+                 const std::deque<std::pair<std::vector<TokenId>, int>>& prompts,
+                 std::deque<std::vector<TokenId>>& generated)
+      : options_(options),
+        engine_(&engine),
+        session_iter_(options.scheduler.policy ==
+                          SchedulerPolicy::kIterationLevel &&
+                      (options.scheduler.exec == DecodeExec::kSession ||
+                       options.scheduler.exec == DecodeExec::kContinuous)),
+        prompts_(prompts),
+        generated_(generated) {
+    gopts_.deadline_s = options.dispatch_deadline_s;
+  }
+
+  void prepare(const DispatchDecision& d) override {
+    // Snapshot the engine inputs while the request tables are stable: the
+    // live engine's submit() may grow prompts/generated concurrently once
+    // the lock is released, and deque growth can reallocate the block map
+    // that operator[] traverses.
+    inputs_ = prepare_decision(options_.scheduler.policy,
+                               options_.scheduler.exec, d, prompts_,
+                               generated_);
+  }
+
+  DispatchRun run(const DispatchDecision& d, double start_s) override {
+    DispatchRun r;
+    StopwatchNs call;  // the whole call, charged to a failure
+    error_ = nullptr;
+    mem_fault_ = false;
+    try {
+      TRACE_SPAN1("serve",
+                  d.phase == ServePhase::kPrefillPass ? "execute-prefill"
+                                                      : "execute-decode",
+                  "batch", d.request_ids.size());
+      if (FaultInjector::armed())
+        serve_fault_site("serve.dispatch", fault_events_);
+      StopwatchNs wall;
+      PipelineEngine& engine = *engine_;
+      // Per-stage straggler sites first (inside the dispatch wall clock),
+      // then a stats snapshot so the health sample can attribute this
+      // dispatch's cost: measured per-stage busy delta plus the
+      // serving-level injected delay per stage.
+      r.stage_busy_s =
+          check_serve_stage_sites(engine.num_stages(), fault_events_);
+      const EngineStats before = engine.stats();
+      if (session_iter_) {
+        out_.clear();
+        for (TokenId t : run_sessions(d)) out_.push_back({t});
+      } else if (!inputs_.padded.empty()) {
+        out_ = engine.generate(inputs_.padded, inputs_.gen_call, gopts_);
+      } else {
+        out_ = run_static_session(engine, inputs_, gopts_);
+      }
+      r.dispatch_s = wall.elapsed_s();
+      r.finish_s = start_s + r.dispatch_s;
+      const EngineStats after = engine.stats();
+      for (std::size_t p = 0; p < r.stage_busy_s.size(); ++p)
+        if (p < before.stages.size() && p < after.stages.size())
+          r.stage_busy_s[p] += std::max(
+              0.0, after.stages[p].busy_s - before.stages[p].busy_s);
+      if (d.phase == ServePhase::kPrefillPass || d.num_join > 0)
+        r.prefill_end_s =
+            start_s +
+            std::max(0.0, after.prefill.seconds - before.prefill.seconds);
+    } catch (const std::bad_alloc&) {
+      mem_fault_ = true;
+      error_ = std::current_exception();
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+    if (error_) {
+      r.failed = true;
+      r.finish_s = start_s + call.elapsed_s();
+    }
+    return r;
+  }
+
+  void commit(const DispatchDecision& d) override {
+    // Append each row's kept output tokens to its request's generated row.
+    for (std::size_t i = 0; i < d.request_ids.size(); ++i) {
+      auto& gen = generated_[static_cast<std::size_t>(d.request_ids[i])];
+      const std::size_t take = std::min(out_[i].size(), inputs_.take[i]);
+      gen.insert(gen.end(), out_[i].begin(),
+                 out_[i].begin() + static_cast<std::ptrdiff_t>(take));
+    }
+  }
+
+  void recover() override {
+    if (mem_fault_) {
+      ++mem_faults_;
+      ++total_mem_faults_;
+      TRACE_INSTANT("serve", "mem-fault");
+      if (options_.degrade &&
+          mem_faults_ >= options_.degrade_after_mem_faults) {
+        if (PipelineEngine* next = options_.degrade(++degrade_level_)) {
+          // Step down the ladder (lower bitwidth / smaller micro-batch)
+          // and give the cheaper engine a fresh fault budget.
+          swap_engine(next, "OnlineEngineOptions::degrade returned an "
+                            "incompatible engine at level " +
+                                std::to_string(degrade_level_));
+          ++degrades_;
+          mem_faults_ = 0;
+          TRACE_INSTANT("serve", "degrade");
+        }
+      }
+    }
+    if (!engine_->healthy()) {
+      if (engine_restarts_ >= options_.max_engine_restarts)
+        std::rethrow_exception(error_);
+      engine_->restart();
+      ++engine_restarts_;
+      TRACE_INSTANT("serve", "engine-restart");
+    }
+  }
+
+  void reconcile(const ServeScheduler& scheduler) override {
+    // End the sessions of requests that reached a terminal outcome since
+    // the last call (completed, timed out, failed), returning their KV
+    // pages. finished() is append-only.
+    const std::vector<RequestStats>& finished = scheduler.finished();
+    for (; finished_seen_ < finished.size(); ++finished_seen_) {
+      auto it = sessions_.find(finished[finished_seen_].id);
+      if (it == sessions_.end()) continue;
+      end_session(it->second);
+      sessions_.erase(it);
+    }
+    TRACE_COUNTER("serve", "pending", scheduler.pending());
+  }
+
+  bool repairs() const override { return static_cast<bool>(options_.replan); }
+
+  void repair(const HealthVerdict& verdict, ReplanEvent& ev) override {
+    const ReplanOutcome out = options_.replan(verdict);
+    ev.delta = out.delta;
+    ev.applied = out.delta.kind != PlanDeltaKind::kNone &&
+                 out.engine != nullptr && out.engine != engine_;
+    if (!ev.applied) return;
+    // Migrate live; the next decision rebuilds each request from its
+    // authoritative context by re-prefill, which under greedy sampling
+    // resumes it exactly.
+    swap_engine(out.engine,
+                "OnlineEngineOptions::replan returned an incompatible engine");
+    TRACE_INSTANT("serve", "migrate");
+  }
+
+  int mem_faults() const override { return total_mem_faults_; }
+
+  void after_dispatch(const DispatchLoop& loop, double now_s) override {
+    if (options_.metrics_out.empty() ||
+        now_s - last_metrics_s_ < options_.metrics_interval_s)
+      return;
+    last_metrics_s_ = now_s;
+    export_serve_metrics(options_.metrics_out, loop, *engine_);
+  }
+
+  void finish(const DispatchLoop& loop) override {
+    release_sessions();
+    if (!options_.metrics_out.empty())
+      export_serve_metrics(options_.metrics_out, loop, *engine_);
+  }
+
+  void fill(OnlineReport& rep) const override {
+    rep.generated.assign(generated_.begin(), generated_.end());
+    rep.fault_events = fault_events_;
+    rep.engine_restarts = engine_restarts_;
+    rep.degrades = degrades_;
+    rep.mem_faults = total_mem_faults_;
+  }
+
+ private:
+  struct Sess {
+    PipelineEngine* eng;  ///< engine holding the session's KV
+    int sid;
+  };
+
+  static void end_session(const Sess& s) {
+    // On a broken engine end_session defers the page frees to restart().
+    if (s.eng->has_session(s.sid)) s.eng->end_session(s.sid);
+  }
+
+  void release_sessions() {
+    for (const auto& [rid, s] : sessions_) end_session(s);
+    sessions_.clear();
+  }
+
+  /// Validates a replacement engine (a mismatch is terminal: a different
+  /// model would silently corrupt every in-flight request) and moves
+  /// execution onto it. KV held on the previous base engine is useless to
+  /// the replacement, so every session is released — class-variant ones
+  /// too — and each request resumes from its authoritative context.
+  void swap_engine(PipelineEngine* next, const std::string& what) {
+    const std::string mismatch = validate_replacement_engine(*engine_, *next);
+    if (!mismatch.empty()) throw Error(what + ": " + mismatch);
+    if (next != engine_) release_sessions();
+    engine_ = next;
+  }
+
+  /// Per-class engine routing (OnlineEngineOptions::class_engine): rows
+  /// whose decision class is > 0 execute on the router's variant; class 0
+  /// (and a nullptr from the router) stays on the base engine.
+  PipelineEngine* engine_for(int cls) const {
+    if (cls > 0 && options_.class_engine)
+      if (PipelineEngine* e = options_.class_engine(cls)) return e;
+    return engine_;
+  }
+
+  /// Executes one iteration-level decision over sessions, returning one
+  /// token per row. Per engine at most two ragged calls: one prefill over
+  /// rows that need their context materialized, one decode_step over rows
+  /// advancing by a token (one engine total unless class routing is armed).
+  std::vector<TokenId> run_sessions(const DispatchDecision& d) {
+    // Capacity-planner evictions first: release the victims' KV pages
+    // (their tokens stay on the session, so resumption is a re-prefill of
+    // the full history). Idempotent across retries — a session already
+    // preempted has nothing committed and preempt_session is a no-op; a
+    // victim whose release never executed (the fault landed first) simply
+    // decode-steps on resume, which is equally exact.
+    for (int rid : d.preempted) {
+      auto it = sessions_.find(rid);
+      if (it != sessions_.end() && it->second.eng->has_session(it->second.sid))
+        it->second.eng->preempt_session(it->second.sid);
+    }
+    const std::size_t n = d.request_ids.size();
+    std::vector<TokenId> out(n, 0);
+    // Rows group by (engine, call kind); groups keep first-seen order so
+    // the call sequence is deterministic.
+    struct Group {
+      PipelineEngine* eng;
+      std::vector<int> sids;
+      std::vector<std::size_t> rows;
+    };
+    std::vector<Group> prefills, steps;
+    const auto enlist = [](std::vector<Group>& groups, PipelineEngine* eng,
+                           int sid, std::size_t row) {
+      for (Group& g : groups) {
+        if (g.eng != eng) continue;
+        g.sids.push_back(sid);
+        g.rows.push_back(row);
+        return;
+      }
+      groups.push_back(Group{eng, {sid}, {row}});
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      const int rid = d.request_ids[i];
+      const auto ctx = static_cast<std::size_t>(d.contexts[i]);
+      PipelineEngine* eng =
+          engine_for(i < d.classes.size() ? d.classes[i] : 0);
+      auto it = sessions_.find(rid);
+      if (it != sessions_.end() &&
+          (!it->second.eng->has_session(it->second.sid) ||
+           it->second.eng != eng)) {
+        // Lost to a restart, or the row's class routes elsewhere now:
+        // drop and rebuild below.
+        end_session(it->second);
+        sessions_.erase(it);
+        it = sessions_.end();
+      }
+      if (it == sessions_.end()) {
+        const int sid = eng->begin_session(inputs_.rows[i]);
+        sessions_.emplace(rid, Sess{eng, sid});
+        enlist(prefills, eng, sid, i);
+        continue;
+      }
+      const int sid = it->second.sid;
+      const std::size_t len = eng->session_length(sid);
+      if (len == ctx + 1) {
+        // This round already advanced the session (a later group of the
+        // same decision failed, and the scheduler is retrying the round):
+        // its token was sampled last time — reuse it.
+        out[i] = eng->session_back(sid);
+      } else if (len == ctx && eng->session_committed(sid) == 0) {
+        enlist(prefills, eng, sid, i);  // begun, never prefilled (retry)
+      } else if (len == ctx) {
+        enlist(steps, eng, sid, i);
+      } else {
+        // Inconsistent with the scheduler's view (should not happen):
+        // rebuild from the authoritative request tables.
+        eng->end_session(sid);
+        const int fresh = eng->begin_session(inputs_.rows[i]);
+        sessions_[rid] = Sess{eng, fresh};
+        enlist(prefills, eng, fresh, i);
+      }
+    }
+    for (const Group& g : prefills) {
+      const std::vector<TokenId> toks = g.eng->prefill(g.sids, gopts_);
+      for (std::size_t j = 0; j < toks.size(); ++j) out[g.rows[j]] = toks[j];
+    }
+    for (const Group& g : steps) {
+      const std::vector<TokenId> toks = g.eng->decode_step(g.sids, gopts_);
+      for (std::size_t j = 0; j < toks.size(); ++j) out[g.rows[j]] = toks[j];
+    }
+    return out;
+  }
+
+  const OnlineEngineOptions& options_;
+  PipelineEngine* engine_;  ///< base engine; degrade/replan swap it
+  const bool session_iter_;
+  const std::deque<std::pair<std::vector<TokenId>, int>>& prompts_;
+  std::deque<std::vector<TokenId>>& generated_;
+  GenerateOptions gopts_;
+  std::unordered_map<int, Sess> sessions_;  ///< request id -> session
+  std::size_t finished_seen_ = 0;           ///< reconcile() cursor
+  DecisionInputs inputs_;                   ///< the decision being run
+  std::vector<std::vector<TokenId>> out_;   ///< its output, row-aligned
+  std::exception_ptr error_;                ///< its failure, if any
+  bool mem_fault_ = false;                  ///< ...and whether it was OOM
+  int fault_events_ = 0;
+  int engine_restarts_ = 0;
+  int degrades_ = 0;
+  int mem_faults_ = 0;  ///< since the last degrade step
+  int total_mem_faults_ = 0;
+  int degrade_level_ = 0;
+  double last_metrics_s_ = 0.0;
+};
 
 }  // namespace
 
@@ -644,7 +629,7 @@ std::string validate_replacement_engine(const PipelineEngine& current,
 
 OnlineEngine::OnlineEngine(PipelineEngine& engine,
                            const OnlineEngineOptions& options)
-    : engine_(&engine), options_(options), scheduler_(options.scheduler) {
+    : engine_(engine), options_(options), scheduler_(options.scheduler) {
   // The scheduler's clock (clock_) reads zero right now, so now_s() is the
   // offset that aligns its lifecycle events with the wall-clock spans.
   scheduler_.enable_trace(trace_pids::kServe, TraceSession::now_s());
@@ -652,7 +637,6 @@ OnlineEngine::OnlineEngine(PipelineEngine& engine,
   // leaves it running (same RAII discipline as the pipeline engine).
   server_ = std::thread([this] { serve_loop(); });
 }
-
 OnlineEngine::~OnlineEngine() {
   close();
   if (server_.joinable()) server_.join();
@@ -672,17 +656,9 @@ int OnlineEngine::submit(std::vector<TokenId> prompt, int gen_tokens,
   // learn about the failure at wait().
   if (error_)
     throw Error("OnlineEngine::submit: serving loop failed: " + error_what_);
-  const int id = static_cast<int>(prompts_.size());
-  ServeRequest r;
-  r.id = id;
-  r.arrival_s = clock_.elapsed_s();
-  r.prompt_len = static_cast<int>(prompt.size());
-  r.gen_tokens = gen_tokens;
-  r.tenant_id = tenant_id;
-  r.req_class = req_class;
-  scheduler_.submit(r);  // validates shape, tenant and stream state
-  prompts_.emplace_back(std::move(prompt), gen_tokens);
-  generated_.emplace_back();
+  const int id =
+      add_request(scheduler_, prompts_, generated_, clock_.elapsed_s(),
+                  std::move(prompt), gen_tokens, tenant_id, req_class);
   lk.unlock();
   cv_.notify_all();
   return id;
@@ -711,145 +687,24 @@ OnlineReport OnlineEngine::wait() {
     lk.lock();
   }
   if (error_) std::rethrow_exception(error_);
-  FailureGovernor gov{options_, engine_};
-  gov.engine_restarts = engine_restarts_;
-  gov.degrades = degrades_;
-  gov.total_mem_faults = total_mem_faults_;
-  return build_report(scheduler_, makespan_s_, generated_, &gov, &replans_,
-                      migrations_);
+  return report_;
 }
 
 void OnlineEngine::serve_loop() {
   if (TraceSession::enabled()) TraceSession::set_thread_name("serve-loop");
-  GenerateOptions gopts;
-  gopts.deadline_s = options_.dispatch_deadline_s;
-  FailureGovernor gov{options_, engine_};
-  ControlLoop control(options_);
-  double last_metrics_s = 0.0;
-  const bool session_iter =
-      options_.scheduler.policy == SchedulerPolicy::kIterationLevel &&
-      (options_.scheduler.exec == DecodeExec::kSession ||
-       options_.scheduler.exec == DecodeExec::kContinuous);
-  SessionExecutor sessions;
-  sessions.set_router(options_.class_engine);
-  sessions.bind(engine_);
   std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    const double now = clock_.elapsed_s();
-    SchedulerAction a = scheduler_.next(now);
-    // Deadline expiry inside next() can finish active requests; return
-    // their KV pages promptly.
-    if (session_iter) sessions.reconcile(scheduler_.finished());
-    TRACE_COUNTER("serve", "pending", scheduler_.pending());
-    if (a.kind == SchedulerAction::Kind::kDone) break;
-    if (a.kind == SchedulerAction::Kind::kWait) {
-      // Either block for new submissions (unbounded wait) or sleep until
-      // the scheduler's deadline — the stale timer that bounds a lone
-      // request's wait at arrival + max_wait_s, or a retry-backoff or
-      // request-deadline wakeup. Submissions wake us early.
-      if (std::isinf(a.wait_until))
-        cv_.wait(lk);
-      else
-        cv_.wait_for(lk, std::chrono::duration<double>(
-                             std::max(1e-4, a.wait_until - now)));
-      continue;
-    }
-    const DispatchDecision d = std::move(a.decision);
-    // Snapshot the engine inputs while still holding mu_: submit() may
-    // concurrently grow prompts_/generated_, and deque growth can
-    // reallocate the internal block map that operator[] traverses, so an
-    // unsynchronized read during emplace_back is a data race.
-    const DecisionInputs inputs = prepare_decision(
-        options_.scheduler.policy, options_.scheduler.exec, d, prompts_,
-        generated_);
-    lk.unlock();
-    const double start = clock_.elapsed_s();
-    DecisionRun run;
-    bool mem_fault = false;
-    std::exception_ptr err;
-    try {
-      TRACE_SPAN1("serve",
-                  d.phase == ServePhase::kPrefillPass ? "execute-prefill"
-                                                      : "execute-decode",
-                  "batch", d.request_ids.size());
-      run = execute_decision(*gov.engine, session_iter ? &sessions : nullptr,
-                             d.phase, d, inputs, gopts);
-    } catch (const std::bad_alloc&) {
-      mem_fault = true;
-      err = std::current_exception();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    lk.lock();
-    if (err) {
-      // Hand the failed dispatch back to the scheduler (retry with
-      // backoff, kFailed past the cap), then recover the engine: restart
-      // it if the fault broke it, step down the degradation ladder after
-      // repeated memory faults. Only an exhausted restart budget kills
-      // the loop — that terminal error is what submit()/wait() surface.
-      scheduler_.fail(d, clock_.elapsed_s());
-      const bool recovered = gov.handle(mem_fault);
-      engine_ = gov.engine;
-      engine_restarts_ = gov.engine_restarts;
-      degrades_ = gov.degrades;
-      total_mem_faults_ = gov.total_mem_faults;
-      if (session_iter) {
-        // A degrade step swaps the engine: rebind (dropping sessions whose
-        // KV lives on the old engine) and release sessions of requests the
-        // failure finished for good.
-        sessions.bind(gov.engine);
-        sessions.reconcile(scheduler_.finished());
-      }
-      if (!recovered) {
-        if (!gov.validation_error.empty())
-          err = std::make_exception_ptr(Error(gov.validation_error));
-        error_ = err;
-        error_what_ = describe_exception(err);
-        break;
-      }
-      continue;
-    }
-    commit_decision(d, inputs, run.out, generated_);
-    const double finish = clock_.elapsed_s();
-    const double prefill_end =
-        (d.phase == ServePhase::kPrefillPass || d.num_join > 0) &&
-                run.timing.prefill_s >= 0.0
-            ? start + run.timing.prefill_s
-            : -1.0;
-    scheduler_.complete(d, finish, prefill_end);
-    if (session_iter) sessions.reconcile(scheduler_.finished());
-    makespan_s_ = finish;
-    // Control loop: one health sample per dispatch; a verdict consults the
-    // replan hook and a validated migration swaps the engine live. The
-    // session rebind releases every KV page on the old engine; the next
-    // decision rebuilds each request from its authoritative context via
-    // re-prefill, which under greedy sampling resumes it exactly.
-    try {
-      if (PipelineEngine* next = control.after_dispatch(
-              d, run, scheduler_.pending(), scheduler_.preemptions(),
-              gov.total_mem_faults, gov.engine)) {
-        gov.engine = next;
-        engine_ = next;
-        if (session_iter) sessions.bind(next);
-      }
-    } catch (...) {
-      error_ = std::current_exception();
-      error_what_ = describe_exception(error_);
-      break;
-    }
-    if (!options_.metrics_out.empty() &&
-        finish - last_metrics_s >= options_.metrics_interval_s) {
-      last_metrics_s = finish;
-      export_serve_metrics(options_.metrics_out, control, *gov.engine,
-                           &scheduler_);
-    }
+  try {
+    WallClock clock(clock_, lk, cv_);
+    EngineExecutor exec(engine_, options_, prompts_, generated_);
+    report_ =
+        DispatchLoop(scheduler_, clock, exec, control_health(options_)).run();
+  } catch (...) {
+    // The loop died (restart budget exhausted, incompatible replacement
+    // engine): submit() fails fast from here on and wait() rethrows.
+    error_ = std::current_exception();
+    error_what_ = describe_exception(error_);
+    if (!lk.owns_lock()) lk.lock();
   }
-  sessions.release_all();
-  if (!options_.metrics_out.empty())
-    export_serve_metrics(options_.metrics_out, control, *gov.engine,
-                         &scheduler_);
-  replans_ = std::move(control.replans);
-  migrations_ = control.migrations;
   done_ = true;
   lk.unlock();
   cv_.notify_all();
@@ -864,115 +719,17 @@ OnlineReport serve_trace(PipelineEngine& engine,
   scheduler.enable_trace(trace_pids::kServe, 0.0);
   std::deque<std::pair<std::vector<TokenId>, int>> prompts;
   std::deque<std::vector<TokenId>> generated;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const OnlineTraceRequest& t = trace[i];
+  for (const OnlineTraceRequest& t : trace) {
     check_arg(!t.prompt.empty(),
               "serve_trace: zero-length prompts are not allowed");
-    ServeRequest r;
-    r.id = static_cast<int>(i);
-    r.arrival_s = t.arrival_s;
-    r.prompt_len = static_cast<int>(t.prompt.size());
-    r.gen_tokens = t.gen_tokens;
-    r.tenant_id = t.tenant_id;
-    r.req_class = t.req_class;
-    scheduler.submit(r);
-    prompts.emplace_back(t.prompt, t.gen_tokens);
-    generated.emplace_back();
+    add_request(scheduler, prompts, generated, t.arrival_s, t.prompt,
+                t.gen_tokens, t.tenant_id, t.req_class);
   }
   scheduler.close();
 
-  // Virtual clock: arrivals advance it per the trace; each decision
-  // advances it by the measured wall time of the real engine call.
-  GenerateOptions gopts;
-  gopts.deadline_s = options.dispatch_deadline_s;
-  FailureGovernor gov{options, &engine};
-  ControlLoop control(options);
-  double last_metrics_s = 0.0;
-  const bool session_iter =
-      options.scheduler.policy == SchedulerPolicy::kIterationLevel &&
-      (options.scheduler.exec == DecodeExec::kSession ||
-       options.scheduler.exec == DecodeExec::kContinuous);
-  SessionExecutor sessions;
-  sessions.set_router(options.class_engine);
-  sessions.bind(&engine);
-  double t = 0.0;
-  for (;;) {
-    SchedulerAction a = scheduler.next(t);
-    if (session_iter) sessions.reconcile(scheduler.finished());
-    if (a.kind == SchedulerAction::Kind::kDone) break;
-    if (a.kind == SchedulerAction::Kind::kWait) {
-      check_arg(std::isfinite(a.wait_until),
-                "serve_trace: scheduler blocked on a closed stream");
-      t = std::max(t, a.wait_until);
-      continue;
-    }
-    const DispatchDecision d = std::move(a.decision);
-    const DecisionInputs inputs = prepare_decision(
-        options.scheduler.policy, options.scheduler.exec, d, prompts,
-        generated);
-    DecisionRun run;
-    bool mem_fault = false;
-    std::exception_ptr err;
-    StopwatchNs wall;
-    try {
-      run = execute_decision(*gov.engine, session_iter ? &sessions : nullptr,
-                             d.phase, d, inputs, gopts);
-    } catch (const std::bad_alloc&) {
-      mem_fault = true;
-      err = std::current_exception();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    if (err) {
-      // Same recovery policy as the live loop, on the virtual clock: the
-      // failed call's wall time still advances it so retried dispatches
-      // do not appear free.
-      t += wall.elapsed_s();
-      scheduler.fail(d, t);
-      const bool recovered = gov.handle(mem_fault);
-      if (session_iter) {
-        sessions.bind(gov.engine);
-        sessions.reconcile(scheduler.finished());
-      }
-      if (!recovered) {
-        if (!gov.validation_error.empty()) throw Error(gov.validation_error);
-        std::rethrow_exception(err);
-      }
-      continue;
-    }
-    commit_decision(d, inputs, run.out, generated);
-    const double finish = t + run.timing.total_s;
-    const double prefill_end =
-        (d.phase == ServePhase::kPrefillPass || d.num_join > 0) &&
-                run.timing.prefill_s >= 0.0
-            ? t + run.timing.prefill_s
-            : -1.0;
-    scheduler.complete(d, finish, prefill_end);
-    if (session_iter) sessions.reconcile(scheduler.finished());
-    t = finish;
-    // Same control loop as the live path, on the virtual clock (the
-    // health sample's dispatch cost is the measured wall time of the real
-    // engine call, so an injected straggler dominates it identically).
-    if (PipelineEngine* next =
-            control.after_dispatch(d, run, scheduler.pending(),
-                                   scheduler.preemptions(),
-                                   gov.total_mem_faults, gov.engine)) {
-      gov.engine = next;
-      if (session_iter) sessions.bind(next);
-    }
-    if (!options.metrics_out.empty() &&
-        finish - last_metrics_s >= options.metrics_interval_s) {
-      last_metrics_s = finish;
-      export_serve_metrics(options.metrics_out, control, *gov.engine,
-                           &scheduler);
-    }
-  }
-  sessions.release_all();
-  if (!options.metrics_out.empty())
-    export_serve_metrics(options.metrics_out, control, *gov.engine,
-                         &scheduler);
-  return build_report(scheduler, t, generated, &gov, &control.replans,
-                      control.migrations);
+  VirtualClock clock("serve_trace");
+  EngineExecutor exec(engine, options, prompts, generated);
+  return DispatchLoop(scheduler, clock, exec, control_health(options)).run();
 }
 
 }  // namespace llmpq

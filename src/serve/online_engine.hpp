@@ -12,18 +12,19 @@
 
 #include "common/metrics.hpp"
 #include "runtime/engine.hpp"
+#include "serve/dispatch_loop.hpp"
 #include "serve/health.hpp"
 #include "serve/replanner.hpp"
 #include "serve/scheduler.hpp"
 
 namespace llmpq {
 
-/// Online serving loop over the real threaded `PipelineEngine`, driven by
-/// the same `ServeScheduler` the online *simulator* uses — the policy code
-/// (admission, batching, stale timer, queue-delay accounting) is shared,
-/// so a fix lands in both back-ends at once and the sim-vs-runtime parity
-/// test can assert identical admission order and batch composition on
-/// identical traces.
+/// Online serving over the real threaded `PipelineEngine`: the runtime
+/// executor of the shared `DispatchLoop` (serve/dispatch_loop.hpp), which
+/// the simulator runs too — so admission, batching, the stale timer,
+/// fail/retry and the health -> replan step are one piece of code for
+/// both back-ends, and the parity tests compare the decision and re-plan
+/// logs they produce on identical traces.
 ///
 /// Execution mapping (SchedulerOptions::exec picks the decode strategy;
 /// it never changes which requests are batched, only how a dispatch runs):
@@ -49,17 +50,18 @@ namespace llmpq {
 /// diverge — which is why it exists only for benchmark comparison and
 /// regression coverage, not serving.
 ///
-/// Live mode: construct, submit() from any thread (arrival time = wall
-/// clock), close(), then wait() for the report. A dedicated admission
-/// thread owns the scheduler; submissions wake it through a condition
-/// variable, and a kWait action sleeps until the stale deadline — the
-/// scheduler's fixed timer is what bounds a lone request's wait at
-/// `arrival + max_wait_s`.
-///
-/// Trace mode (`serve_trace`): replays a timestamped trace on a virtual
-/// clock — arrivals advance it per the trace, executions advance it by the
-/// measured wall time of the real engine call. Deterministic in decision
-/// order for burst traces, which is what the parity test uses.
+/// Two clocks drive the engine executor:
+///   * Live (`OnlineEngine`): the wall clock. Construct, submit() from any
+///     thread (arrival time = wall clock), close(), then wait() for the
+///     report. A dedicated admission thread runs the loop under the
+///     engine's lock and releases it around each execution; submissions
+///     wake it through a condition variable, and a kWait action sleeps
+///     until the stale deadline — the scheduler's fixed timer is what
+///     bounds a lone request's wait at `arrival + max_wait_s`.
+///   * Trace replay (`serve_trace`): a virtual clock — arrivals advance it
+///     per the trace, each execution by the measured wall time of the
+///     real engine call (a failed one too). Deterministic in decision
+///     order for burst traces, which is what the parity tests use.
 
 struct OnlineEngineOptions {
   SchedulerOptions scheduler;
@@ -139,44 +141,6 @@ struct OnlineTraceRequest {
   int req_class = 0;  ///< ServeRequest::req_class (class_engine routing)
 };
 
-struct OnlineReport {
-  int completed = 0;  ///< requests served normally (outcome kCompleted)
-  double makespan_s = 0.0;
-  double throughput_tokens_per_s = 0.0;  ///< useful (unpadded) tokens
-  LatencySummary latency;      ///< arrival -> last token (completed only)
-  LatencySummary queue_delay;  ///< arrival -> admission (no prefill inside)
-  LatencySummary prefill;      ///< prefill pass time per request
-  std::vector<RequestStats> requests;       ///< completion order
-  std::vector<DispatchDecision> decisions;  ///< dispatch order (parity key)
-  std::vector<std::vector<TokenId>> generated;  ///< indexed by request id
-
-  // ---- Re-plan decision log. Joins `decisions` in the sim-vs-runtime
-  // parity contract: on identical traces with identical fault plans and
-  // control-loop options, both back-ends must produce the same events in
-  // the same order. Compared fields (ReplanEvent::same_decision): at_seq
-  // (the DispatchDecision::seq the verdict tripped on), status,
-  // bottleneck_stage, applied, and the structural PlanDelta fields (kind,
-  // layer, from/to stage, new_bits, micro-batches). Severities and
-  // objective scores are clock-dependent and deliberately excluded.
-  std::vector<ReplanEvent> replans;
-  int migrations = 0;  ///< applied deltas (engine swaps on the runtime)
-
-  // ---- Fault accounting (all zero on a fault-free run).
-  int timed_out = 0;        ///< requests past deadline_s
-  int rejected = 0;         ///< bounced by the admission bound
-  int failed = 0;           ///< exhausted max_retries
-  int retries = 0;          ///< total dispatch retries consumed
-  int engine_restarts = 0;  ///< PipelineEngine::restart() invocations
-  int degrades = 0;         ///< degradation-ladder steps taken
-  int mem_faults = 0;       ///< std::bad_alloc dispatches observed
-  int preemptions = 0;      ///< capacity-planner evictions (kContinuous)
-  int forced_joins = 0;     ///< starvation-bound admissions (kContinuous)
-
-  /// Per-tenant outcome/latency/SLO summaries (one synthetic row when no
-  /// tenants are configured). Same shape as OnlineSimResult::tenants.
-  std::vector<TenantSummary> tenants;
-};
-
 class OnlineEngine {
  public:
   OnlineEngine(PipelineEngine& engine, const OnlineEngineOptions& options);
@@ -208,7 +172,7 @@ class OnlineEngine {
  private:
   void serve_loop();
 
-  PipelineEngine* engine_;  ///< degradation can swap in a replacement
+  PipelineEngine& engine_;  ///< the engine the loop starts on
   OnlineEngineOptions options_;
 
   std::mutex mu_;
@@ -217,22 +181,17 @@ class OnlineEngine {
   std::deque<std::pair<std::vector<TokenId>, int>> prompts_;  ///< by id
   std::deque<std::vector<TokenId>> generated_;                ///< by id
   StopwatchNs clock_;
-  double makespan_s_ = 0.0;
   bool done_ = false;
   bool joined_ = false;       ///< server_ join happened (wait idempotence)
+  OnlineReport report_;       ///< set when the loop drains
   std::exception_ptr error_;  ///< loop failure, rethrown by wait()
   std::string error_what_;    ///< its message, for submit() fail-fast
-  int engine_restarts_ = 0;
-  int degrades_ = 0;
-  int mem_faults_ = 0;        ///< since the last degrade step
-  int total_mem_faults_ = 0;
-  int degrade_level_ = 0;
-  std::vector<ReplanEvent> replans_;  ///< control-loop decision log
-  int migrations_ = 0;
   std::thread server_;  ///< started last, joined in wait()/destructor
 };
 
-/// Replays `trace` against `engine` on a virtual clock (see above).
+/// Replays `trace` against `engine` on a virtual clock (see above). A
+/// terminal serving error (exhausted restart budget, incompatible
+/// replacement engine) is thrown.
 OnlineReport serve_trace(PipelineEngine& engine,
                          const std::vector<OnlineTraceRequest>& trace,
                          const OnlineEngineOptions& options = {});

@@ -20,20 +20,6 @@ struct MigrateCandidate {
 
 }  // namespace
 
-const char* plan_delta_kind_name(PlanDeltaKind kind) {
-  switch (kind) {
-    case PlanDeltaKind::kNone:
-      return "none";
-    case PlanDeltaKind::kMigrateLayer:
-      return "migrate_layer";
-    case PlanDeltaKind::kBitChange:
-      return "bit_change";
-    case PlanDeltaKind::kMicroBatch:
-      return "micro_batch";
-  }
-  return "?";
-}
-
 std::string PlanDelta::describe() const {
   std::ostringstream os;
   switch (kind) {

@@ -35,8 +35,6 @@ enum class PlanDeltaKind : char {
   kMicroBatch,    ///< set prefill/decode micro-batch sizes
 };
 
-const char* plan_delta_kind_name(PlanDeltaKind kind);
-
 struct PlanDelta {
   PlanDeltaKind kind = PlanDeltaKind::kNone;
   int layer = -1;

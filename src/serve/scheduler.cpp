@@ -311,18 +311,16 @@ void ServeScheduler::fold_expiry_wakeups(SchedulerAction& a) const {
   for (const QueuedReq& e : queue_)
     a.wait_until = std::min(
         a.wait_until, e.req.arrival_s + deadline_for(e.req.tenant_id));
-  for (const ActiveReq& r : active_) {
-    const auto it = open_.find(r.id);
-    if (it != open_.end())
-      a.wait_until = std::min(
-          a.wait_until, it->second.arrival_s + deadline_for(r.tenant));
-  }
-  for (const ActiveReq& r : resume_) {
-    const auto it = open_.find(r.id);
-    if (it != open_.end())
-      a.wait_until = std::min(
-          a.wait_until, it->second.arrival_s + deadline_for(r.tenant));
-  }
+  const auto fold = [&](const auto& set) {
+    for (const ActiveReq& r : set) {
+      const auto it = open_.find(r.id);
+      if (it != open_.end())
+        a.wait_until = std::min(
+            a.wait_until, it->second.arrival_s + deadline_for(r.tenant));
+    }
+  };
+  fold(active_);
+  fold(resume_);
 }
 
 DispatchDecision ServeScheduler::make_prefill_decision(double now, int take) {
@@ -850,9 +848,13 @@ void ServeScheduler::complete(const DispatchDecision& decision,
     return;
   }
 
-  // Decode round: every active request advanced by one token.
   check_arg(decision.request_ids.size() == active_.size(),
             "ServeScheduler: decode completion does not match active set");
+  advance_active(finish_s);
+}
+
+void ServeScheduler::advance_active(double finish_s) {
+  // Every active request advanced by one token; the finished retire.
   for (auto it = active_.begin(); it != active_.end();) {
     ++it->context;
     if (--it->remaining <= 0) {
@@ -878,22 +880,7 @@ void ServeScheduler::complete_continuous(const DispatchDecision& decision,
   check_arg(cont == active_.size(),
             "ServeScheduler: continuous completion does not match the "
             "continuing set");
-  // Continuing rows: one decoded token each, retire the finished.
-  for (auto it = active_.begin(); it != active_.end();) {
-    ++it->context;
-    if (--it->remaining <= 0) {
-      auto sit = open_.find(it->id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-      sit->second.finish_s = finish_s;
-      sit->second.retries = it->retries;
-      trace_request_lifecycle(sit->second);
-      finished_.push_back(sit->second);
-      open_.erase(sit);
-      it = active_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  advance_active(finish_s);  // continuing rows
   // Joining rows: the ride-along prefill emitted each row's next token —
   // token 1 for a fresh request, the next continuation token for a
   // preempt-resume (the full-history re-prefill samples exactly what the
@@ -924,26 +911,8 @@ void ServeScheduler::complete_continuous(const DispatchDecision& decision,
 }
 
 void ServeScheduler::fail_continuous(double now, int& max_attempt) {
-  // Continuing rows: decode-fail semantics — the round is idempotent at
-  // the scheduler level, so the set stays resident and is retried; rows
-  // that exhaust the cap leave as kFailed.
-  for (auto it = active_.begin(); it != active_.end();) {
-    ++it->retries;
-    if (it->retries > options_.max_retries) {
-      auto sit = open_.find(it->id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-      RequestStats rs = sit->second;
-      rs.finish_s = now;
-      rs.outcome = RequestOutcome::kFailed;
-      rs.retries = it->retries - 1;
-      finished_.push_back(rs);
-      open_.erase(sit);
-      it = active_.erase(it);
-    } else {
-      max_attempt = std::max(max_attempt, it->retries);
-      ++it;
-    }
-  }
+  // Continuing rows: decode-fail semantics.
+  retry_active(now, max_attempt);
   // Joining rows committed nothing: back to the resume queue's *front*
   // (reverse iteration preserves their relative order) so the retry keeps
   // FIFO fairness. Preempted rows already sit on resume_ from decision
@@ -952,14 +921,7 @@ void ServeScheduler::fail_continuous(double now, int& max_attempt) {
     ActiveReq r = *it;
     ++r.retries;
     if (r.retries > options_.max_retries) {
-      auto sit = open_.find(r.id);
-      check_arg(sit != open_.end(), "ServeScheduler: unknown joining id");
-      RequestStats rs = sit->second;
-      rs.finish_s = now;
-      rs.outcome = RequestOutcome::kFailed;
-      rs.retries = r.retries - 1;
-      finished_.push_back(rs);
-      open_.erase(sit);
+      fail_open(r.id, now, r.retries - 1);
       continue;
     }
     max_attempt = std::max(max_attempt, r.retries);
@@ -967,6 +929,34 @@ void ServeScheduler::fail_continuous(double now, int& max_attempt) {
     resume_.push_front(r);
   }
   joining_.clear();
+}
+
+void ServeScheduler::retry_active(double now, int& max_attempt) {
+  // Decode rounds are idempotent at the scheduler level (context and
+  // remaining advance only in complete()), so the active set stays
+  // resident and the round is retried wholesale; requests that exhaust
+  // the cap leave as kFailed.
+  for (auto it = active_.begin(); it != active_.end();) {
+    ++it->retries;
+    if (it->retries > options_.max_retries) {
+      fail_open(it->id, now, it->retries - 1);
+      it = active_.erase(it);
+    } else {
+      max_attempt = std::max(max_attempt, it->retries);
+      ++it;
+    }
+  }
+}
+
+void ServeScheduler::fail_open(int id, double now, int retries) {
+  auto sit = open_.find(id);
+  check_arg(sit != open_.end(), "ServeScheduler: unknown request id");
+  RequestStats rs = sit->second;
+  rs.finish_s = now;
+  rs.outcome = RequestOutcome::kFailed;
+  rs.retries = retries;
+  finished_.push_back(rs);
+  open_.erase(sit);
 }
 
 void ServeScheduler::fail(const DispatchDecision& decision, double now) {
@@ -1010,26 +1000,7 @@ void ServeScheduler::fail(const DispatchDecision& decision, double now) {
       enqueue(std::move(q));
     }
   } else {
-    // Decode rounds are idempotent at the scheduler level (context and
-    // remaining advance only in complete()), so the round is simply
-    // retried wholesale; requests that exhaust the cap leave as kFailed.
-    for (auto it = active_.begin(); it != active_.end();) {
-      ++it->retries;
-      if (it->retries > options_.max_retries) {
-        auto sit = open_.find(it->id);
-        check_arg(sit != open_.end(), "ServeScheduler: unknown active id");
-        RequestStats rs = sit->second;
-        rs.finish_s = now;
-        rs.outcome = RequestOutcome::kFailed;
-        rs.retries = it->retries - 1;
-        finished_.push_back(rs);
-        open_.erase(sit);
-        it = active_.erase(it);
-      } else {
-        max_attempt = std::max(max_attempt, it->retries);
-        ++it;
-      }
-    }
+    retry_active(now, max_attempt);
   }
   resume_not_before_ =
       std::max(resume_not_before_, now + backoff_s(max_attempt));

@@ -316,10 +316,6 @@ class ServeScheduler {
 
   int pending() const { return static_cast<int>(queue_.size()); }
   int active() const { return static_cast<int>(active_.size()); }
-  bool idle() const {
-    return queue_.empty() && active_.empty() && resume_.empty() &&
-           !in_flight_;
-  }
   /// Sequences evicted to pending by the capacity planner (kContinuous).
   int preemptions() const { return preemptions_; }
   /// Joins admitted by the starvation bound (kContinuous; see
@@ -391,6 +387,15 @@ class ServeScheduler {
   void complete_continuous(const DispatchDecision& decision, double finish_s,
                            double prefill_end_s);
   void fail_continuous(double now, int& max_attempt);
+  /// Advances every active request by one decoded token and retires the
+  /// finished ones at `finish_s`.
+  void advance_active(double finish_s);
+  /// Charges a failed round to every active request (they stay resident)
+  /// and fails those past max_retries; raises `max_attempt` to the deepest
+  /// retry.
+  void retry_active(double now, int& max_attempt);
+  /// Finishes admitted request `id` as kFailed at `now`.
+  void fail_open(int id, double now, int retries);
   DispatchDecision make_prefill_decision(double now, int take);
   int arrived_count(double now) const;
   /// Builds the round's waiting order: resume rows first, then arrived

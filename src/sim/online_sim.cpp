@@ -6,13 +6,30 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "cost/ground_truth.hpp"
 #include "cost/profiler.hpp"
-#include "serve/health.hpp"
 #include "sim/pipeline_sim.hpp"
 
 namespace llmpq {
+
+namespace {
+
+/// ShareGPT-shaped request lengths. Prompts are a bimodal mix: ~55% short
+/// chat turns (lognormal around ~40 tokens), the rest long context pastes
+/// (lognormal around ~400). Generation length is geometric-ish with a
+/// heavier tail.
+void draw_sharegpt_shape(Rng& rng, int max_prompt, int max_gen,
+                         OnlineRequest& r) {
+  const bool short_prompt = rng.uniform() < 0.55;
+  const double mu = short_prompt ? 3.6 : 6.0;
+  const double sigma = short_prompt ? 0.6 : 0.5;
+  r.prompt_len = static_cast<int>(std::clamp(
+      std::exp(rng.normal(mu, sigma)), 4.0, static_cast<double>(max_prompt)));
+  r.gen_tokens = static_cast<int>(std::clamp(
+      std::exp(rng.normal(4.0, 0.8)), 4.0, static_cast<double>(max_gen)));
+}
+
+}  // namespace
 
 std::vector<OnlineRequest> generate_sharegpt_workload(Rng& rng, int count,
                                                       double rate_per_s,
@@ -27,18 +44,7 @@ std::vector<OnlineRequest> generate_sharegpt_workload(Rng& rng, int count,
     t += -std::log(std::max(rng.uniform(), 1e-12)) / rate_per_s;  // Poisson
     OnlineRequest r;
     r.arrival_s = t;
-    // Bimodal prompt mix: ~55% short chat turns (lognormal around ~40
-    // tokens), the rest long context pastes (lognormal around ~400).
-    const bool short_prompt = rng.uniform() < 0.55;
-    const double mu = short_prompt ? 3.6 : 6.0;
-    const double sigma = short_prompt ? 0.6 : 0.5;
-    r.prompt_len = static_cast<int>(
-        std::clamp(std::exp(rng.normal(mu, sigma)), 4.0,
-                   static_cast<double>(max_prompt)));
-    // Generation length: geometric-ish with a heavier tail.
-    r.gen_tokens = static_cast<int>(
-        std::clamp(std::exp(rng.normal(4.0, 0.8)), 4.0,
-                   static_cast<double>(max_gen)));
+    draw_sharegpt_shape(rng, max_prompt, max_gen, r);
     reqs.push_back(r);
   }
   return reqs;
@@ -107,15 +113,7 @@ std::vector<OnlineRequest> generate_tenant_workload(
     while (ti + 1 < cum.size() && u > cum[ti]) ++ti;
     r.tenant_id = tenants[ti].id;
     r.req_class = tenants[ti].default_class;
-    const bool short_prompt = rng.uniform() < 0.55;
-    const double mu = short_prompt ? 3.6 : 6.0;
-    const double sigma = short_prompt ? 0.6 : 0.5;
-    r.prompt_len = static_cast<int>(
-        std::clamp(std::exp(rng.normal(mu, sigma)), 4.0,
-                   static_cast<double>(max_prompt)));
-    r.gen_tokens = static_cast<int>(
-        std::clamp(std::exp(rng.normal(4.0, 0.8)), 4.0,
-                   static_cast<double>(max_gen)));
+    draw_sharegpt_shape(rng, max_prompt, max_gen, r);
     reqs.push_back(r);
   }
   return reqs;
@@ -171,16 +169,142 @@ double pass_time(const ModelSpec& model, const ClusterSpec& cluster,
   return total;
 }
 
+/// The simulator's executor: each decision costs the roofline pass times
+/// of the working plan, and the fault lottery mirrors the runtime fault
+/// injector on the virtual clock. Applied repairs mutate the working plan,
+/// so the next decision runs on it (the runtime swaps engines at the same
+/// point).
+class PassTimeExecutor final : public DispatchExecutor {
+ public:
+  PassTimeExecutor(const ModelSpec& model, const ClusterSpec& cluster,
+                   const ExecutionPlan& plan, const SchedulerOptions& options,
+                   const FaultPlan& faults, const OnlineReplanOptions* replan)
+      : model_(model),
+        cluster_(cluster),
+        options_(options),
+        plan_(plan),
+        lottery_(faults) {
+    if (replan != nullptr)
+      replanner_.emplace(*replan->cost, replan->indicator, replan->theta);
+  }
+
+  DispatchRun run(const DispatchDecision& d, double start_s) override {
+    DispatchRun r;
+    r.stage_busy_s.assign(static_cast<std::size_t>(plan_.num_stages()), 0.0);
+    const std::optional<double> drawn = check_faults(r.stage_busy_s);
+    if (!drawn) {
+      r.failed = true;  // a failed dispatch costs no virtual time
+      r.finish_s = start_s;
+      return r;
+    }
+    const double straggle = *drawn;
+    const int batch = static_cast<int>(d.request_ids.size());
+    double finish;
+    if (d.phase == ServePhase::kPrefillPass) {
+      r.prefill_end_s = start_s + straggle +
+                        pass(Phase::kPrefill, batch, d.padded_prompt,
+                             r.stage_busy_s);
+      finish = r.prefill_end_s;
+      if (options_.policy == SchedulerPolicy::kStaticBatching) {
+        // Static batching runs the whole padded generation as one unit;
+        // the batch stays intact until its longest request finishes.
+        for (int round = 1; round < d.padded_gen; ++round)
+          finish += pass(Phase::kDecode, batch, d.padded_prompt + round,
+                         r.stage_busy_s);
+      }
+    } else if (options_.exec == DecodeExec::kReplay) {
+      // Replay decode re-runs every active context for one token, so the
+      // round costs a prefill-shaped pass over the padded context — the
+      // cost model the session path is benchmarked against.
+      finish = start_s + straggle +
+               pass(Phase::kPrefill, batch, d.max_context, r.stage_busy_s);
+    } else if (options_.exec == DecodeExec::kContinuous && d.num_join > 0) {
+      // Mixed continuous round: the joining rows' ride-along prefill runs
+      // first (the runtime's prefill-then-decode call order), then the
+      // continuing rows decode one token each.
+      r.prefill_end_s = start_s + straggle +
+                        pass(Phase::kPrefill, d.num_join, d.padded_prompt,
+                             r.stage_busy_s);
+      finish = r.prefill_end_s + pass(Phase::kDecode, batch - d.num_join,
+                                      d.max_context, r.stage_busy_s);
+    } else {
+      finish = start_s + straggle +
+               pass(Phase::kDecode, batch, d.max_context, r.stage_busy_s);
+    }
+    r.finish_s = finish;
+    r.dispatch_s = finish - start_s;
+    return r;
+  }
+
+  bool repairs() const override { return replanner_.has_value(); }
+
+  void repair(const HealthVerdict& verdict, ReplanEvent& ev) override {
+    ev.delta = replanner_->propose(plan_, verdict);
+    ev.applied = ev.delta.kind != PlanDeltaKind::kNone;
+    if (ev.applied) plan_ = Replanner::apply(plan_, ev.delta);
+  }
+
+  void fill(OnlineReport& rep) const override {
+    rep.fault_events = fault_events_;
+    rep.final_plan = plan_;
+  }
+
+ private:
+  double pass(Phase phase, int batch, int seq_or_ctx,
+              std::vector<double>& stage_busy) const {
+    return pass_time(model_, cluster_, plan_, phase, batch, seq_or_ctx,
+                     &stage_busy);
+  }
+
+  /// Draws the dispatch's fault sites with the runtime's semantics: a
+  /// delay or slow rule adds straggle, kDrop is a no-op, any other kind
+  /// fails the dispatch. One "sim.dispatch" draw, then one
+  /// "serve.stage.<p>" draw per plan stage, whose delay is charged once
+  /// per layer of stage p — so migrating layers off a straggling stage
+  /// shrinks the drag. Returns the straggle, or nullopt when the dispatch
+  /// failed (later stages' sites are then not drawn, as on the runtime).
+  std::optional<double> check_faults(std::vector<double>& stage_busy) {
+    if (lottery_.empty()) return 0.0;
+    double straggle = 0.0;
+    const FaultAction fa = lottery_.check("sim.dispatch");
+    if (fa.kind != FaultKind::kNone) ++fault_events_;
+    if (fa.kind == FaultKind::kDelay || fa.kind == FaultKind::kSlow)
+      straggle = fa.delay_s;
+    else if (fa.kind == FaultKind::kThrow || fa.kind == FaultKind::kAllocFail)
+      return std::nullopt;
+    for (int p = 0; p < plan_.num_stages(); ++p) {
+      const FaultAction sa =
+          lottery_.check(("serve.stage." + std::to_string(p)).c_str());
+      if (sa.kind == FaultKind::kNone) continue;
+      ++fault_events_;
+      if (sa.kind == FaultKind::kDelay || sa.kind == FaultKind::kSlow) {
+        const double drag = sa.delay_s * plan_.stage_size(p);
+        straggle += drag;
+        stage_busy[static_cast<std::size_t>(p)] += drag;
+      } else if (sa.kind != FaultKind::kDrop) {
+        return std::nullopt;
+      }
+    }
+    return straggle;
+  }
+
+  const ModelSpec& model_;
+  const ClusterSpec& cluster_;
+  const SchedulerOptions& options_;
+  ExecutionPlan plan_;  ///< working copy; repairs mutate it
+  FaultLottery lottery_;
+  std::optional<Replanner> replanner_;
+  int fault_events_ = 0;
+};
+
 }  // namespace
 
-OnlineSimResult simulate_online(const ModelSpec& model,
-                                const ClusterSpec& cluster,
-                                const ExecutionPlan& plan,
-                                const std::vector<OnlineRequest>& requests,
-                                const OnlineSimOptions& options,
-                                const FaultPlan& faults,
-                                const OnlineReplanOptions* replan) {
-  OnlineSimResult result;
+OnlineReport simulate_online(const ModelSpec& model, const ClusterSpec& cluster,
+                             const ExecutionPlan& plan,
+                             const std::vector<OnlineRequest>& requests,
+                             const SchedulerOptions& options,
+                             const FaultPlan& faults,
+                             const OnlineReplanOptions* replan) {
   plan.validate(model.layers, cluster.num_devices());
   check_arg(replan == nullptr || replan->cost != nullptr,
             "simulate_online: OnlineReplanOptions needs a cost provider");
@@ -189,14 +313,12 @@ OnlineSimResult simulate_online(const ModelSpec& model,
   {
     const SimResult probe = simulate_plan(model, cluster, plan);
     if (!probe.ok) {
-      result.error = probe.error;
-      return result;
+      OnlineReport rep;
+      rep.error = probe.error;
+      return rep;
     }
   }
 
-  // Same decision logic as the runtime back-end (serve/online_engine.cpp);
-  // only the cost of each dispatched pass differs — here it comes from the
-  // roofline ground truth instead of a wall clock.
   ServeScheduler scheduler(options);
   // Simulated serving lifecycles land on the sim pid, so a sim run and a
   // runtime run of the same trace are distinct tracks in one trace file.
@@ -213,177 +335,11 @@ OnlineSimResult simulate_online(const ModelSpec& model,
   }
   scheduler.close();
 
-  // Virtual-clock mirror of the runtime fault injector (same plan format;
-  // local lottery, so concurrent sims never share state). One "sim.dispatch"
-  // draw per decision: a delay rule makes the dispatch a straggler, any
-  // other kind fails it and exercises the retry/backoff/kFailed machinery.
-  FaultLottery lottery(faults);
-  const bool faults_armed = !faults.empty();
-
-  // Control-loop mirror: the plan evolves inside the run exactly like the
-  // runtime's MigrationController plan does, and the same HealthMonitor /
-  // Replanner pair makes the decisions — only the sample's clock differs.
-  ExecutionPlan cur_plan = plan;
-  std::optional<HealthMonitor> monitor;
-  std::optional<Replanner> replanner;
-  if (replan != nullptr) {
-    monitor.emplace(replan->health);
-    replanner.emplace(*replan->cost, replan->indicator, replan->theta);
-  }
-
-  double t = 0.0;
-  for (;;) {
-    SchedulerAction a = scheduler.next(t);
-    if (a.kind == SchedulerAction::Kind::kDone) break;
-    if (a.kind == SchedulerAction::Kind::kWait) {
-      check_arg(std::isfinite(a.wait_until),
-                "simulate_online: scheduler blocked on a closed stream");
-      t = std::max(t, a.wait_until);
-      continue;
-    }
-    const DispatchDecision d = std::move(a.decision);
-    const int batch = static_cast<int>(d.request_ids.size());
-    std::vector<double> stage_busy(
-        static_cast<std::size_t>(cur_plan.num_stages()), 0.0);
-    double straggle = 0.0;
-    bool dispatch_failed = false;
-    if (faults_armed) {
-      const FaultAction fa = lottery.check("sim.dispatch");
-      if (fa.kind != FaultKind::kNone) ++result.fault_events;
-      if (fa.kind == FaultKind::kDelay) {
-        straggle = fa.delay_s;
-      } else if (fa.kind != FaultKind::kNone) {
-        scheduler.fail(d, t);
-        continue;
-      }
-      // Per-stage serving sites, one draw per decision per plan stage —
-      // the cadence the runtime serving loop uses. A delay/slow firing is
-      // charged per layer of the stage, so a migration that moves layers
-      // off the straggler shrinks the drag on the virtual clock; any
-      // other kind fails the dispatch (and, like the runtime, stops
-      // evaluating later stages' sites for this attempt).
-      for (int p = 0; p < cur_plan.num_stages(); ++p) {
-        const FaultAction sa =
-            lottery.check(("serve.stage." + std::to_string(p)).c_str());
-        if (sa.kind == FaultKind::kNone) continue;
-        ++result.fault_events;
-        if (sa.kind == FaultKind::kDelay || sa.kind == FaultKind::kSlow) {
-          const double drag = sa.delay_s * cur_plan.stage_size(p);
-          straggle += drag;
-          stage_busy[static_cast<std::size_t>(p)] += drag;
-        } else if (sa.kind != FaultKind::kDrop) {
-          scheduler.fail(d, t);
-          dispatch_failed = true;
-          break;
-        }
-      }
-      if (dispatch_failed) continue;
-    }
-    double finish;
-    double prefill_end = -1.0;
-    if (d.phase == ServePhase::kPrefillPass) {
-      prefill_end = t + straggle +
-                    pass_time(model, cluster, cur_plan, Phase::kPrefill,
-                              batch, d.padded_prompt, &stage_busy);
-      finish = prefill_end;
-      if (options.policy == SchedulerPolicy::kStaticBatching) {
-        // Static batching runs the whole padded generation as one unit;
-        // the batch stays intact until its longest request finishes.
-        for (int round = 1; round < d.padded_gen; ++round)
-          finish += pass_time(model, cluster, cur_plan, Phase::kDecode,
-                              batch, d.padded_prompt + round, &stage_busy);
-      }
-    } else if (options.exec == DecodeExec::kReplay) {
-      // Replay decode re-runs every active context for one token, so the
-      // round costs a prefill-shaped pass over the padded context — the
-      // cost model the session path is benchmarked against.
-      finish = t + straggle +
-               pass_time(model, cluster, cur_plan, Phase::kPrefill, batch,
-                         d.max_context, &stage_busy);
-    } else if (options.exec == DecodeExec::kContinuous && d.num_join > 0) {
-      // Mixed continuous round: the joining rows' ride-along prefill runs
-      // first (mirroring the SessionExecutor's prefill-then-decode call
-      // order), then the continuing rows decode one token each.
-      prefill_end = t + straggle +
-                    pass_time(model, cluster, cur_plan, Phase::kPrefill,
-                              d.num_join, d.padded_prompt, &stage_busy);
-      finish = prefill_end +
-               pass_time(model, cluster, cur_plan, Phase::kDecode,
-                         batch - d.num_join, d.max_context, &stage_busy);
-    } else {
-      finish = t + straggle +
-               pass_time(model, cluster, cur_plan, Phase::kDecode, batch,
-                         d.max_context, &stage_busy);
-    }
-    scheduler.complete(d, finish, prefill_end);
-    // Health sample + re-plan decision, mirroring ControlLoop::
-    // after_dispatch in serve/online_engine.cpp field for field. An
-    // applied delta mutates the working plan; the next decision runs on
-    // it (the runtime swaps engines at the same point).
-    if (monitor) {
-      HealthSample sample;
-      sample.seq = d.seq;
-      sample.dispatch_s = finish - t;
-      sample.stage_busy_s = stage_busy;
-      sample.queue_depth = scheduler.pending();
-      sample.preemptions = scheduler.preemptions();
-      sample.mem_faults = 0;  // the sim has no allocator to fault
-      const HealthVerdict verdict = monitor->observe(sample);
-      if (!verdict.healthy()) {
-        ReplanEvent ev;
-        ev.at_seq = verdict.at_seq;
-        ev.status = verdict.status;
-        ev.bottleneck_stage = verdict.bottleneck_stage;
-        ev.severity = verdict.severity;
-        ev.delta = replanner->propose(cur_plan, verdict);
-        ev.applied = ev.delta.kind != PlanDeltaKind::kNone;
-        if (ev.applied) {
-          cur_plan = Replanner::apply(cur_plan, ev.delta);
-          ++result.migrations;
-        }
-        result.replans.push_back(ev);
-      }
-    }
-    t = finish;
-  }
-
-  // Served requests only: a run that times half its requests out must not
-  // report them as throughput (mirrors the runtime report).
-  std::int64_t tokens_out = 0;
-  int completed = 0;
-  std::vector<double> latencies, queue_delays, prefills;
-  for (const RequestStats& r : scheduler.finished()) {
-    if (r.outcome != RequestOutcome::kCompleted) continue;
-    ++completed;
-    tokens_out += r.gen_tokens;  // useful (unpadded) tokens
-    latencies.push_back(r.finish_s - r.arrival_s);
-    queue_delays.push_back(r.queue_delay_s);
-    prefills.push_back(r.prefill_s);
-  }
-  const OutcomeCounts oc = scheduler.outcomes();
-  result.timed_out = oc.timed_out;
-  result.rejected = oc.rejected;
-  result.failed = oc.failed;
-  result.retries = oc.retries;
-  result.ok = true;
-  result.completed = completed;
-  result.makespan_s = t;
-  result.throughput_tokens_per_s =
-      t > 0.0 ? static_cast<double>(tokens_out) / t : 0.0;
-  if (!latencies.empty()) {
-    result.mean_latency_s = mean(latencies);
-    result.p95_latency_s = percentile(latencies, 95);
-    result.p99_latency_s = percentile(latencies, 99);
-    result.mean_queue_delay_s = mean(queue_delays);
-    result.mean_prefill_s = mean(prefills);
-  }
-  result.preemptions = scheduler.preemptions();
-  result.forced_joins = scheduler.forced_joins();
-  result.tenants = scheduler.tenant_summaries();
-  result.requests = scheduler.finished();
-  result.decisions = scheduler.decision_log();
-  result.final_plan = cur_plan;
-  return result;
+  VirtualClock clock("simulate_online");
+  PassTimeExecutor exec(model, cluster, plan, options, faults, replan);
+  return DispatchLoop(scheduler, clock, exec,
+                      replan != nullptr ? &replan->health : nullptr)
+      .run();
 }
 
 }  // namespace llmpq

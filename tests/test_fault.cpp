@@ -998,7 +998,7 @@ TEST(SimFaults, OnlineSimChaosIsDeterministicAndConserving) {
   const std::vector<OnlineRequest> reqs =
       generate_sharegpt_workload(rng, 20, 4.0);
 
-  OnlineSimOptions opt;
+  SchedulerOptions opt;
   opt.policy = SchedulerPolicy::kIterationLevel;
   opt.deadline_s = 60.0;
   opt.max_retries = 2;
@@ -1010,9 +1010,9 @@ TEST(SimFaults, OnlineSimChaosIsDeterministicAndConserving) {
   plan.rules.push_back(rule("sim.dispatch", FaultKind::kDelay, 0.2,
                             std::numeric_limits<int>::max(), 40.0));
 
-  const OnlineSimResult a =
+  const OnlineReport a =
       simulate_online(s.model, s.pc.cluster, s.plan, reqs, opt, plan);
-  const OnlineSimResult b =
+  const OnlineReport b =
       simulate_online(s.model, s.pc.cluster, s.plan, reqs, opt, plan);
   ASSERT_TRUE(a.ok) << a.error;
 
@@ -1038,16 +1038,52 @@ TEST(SimFaults, OnlineSimFaultFreePlanChangesNothing) {
   Rng rng(21);
   const std::vector<OnlineRequest> reqs =
       generate_sharegpt_workload(rng, 10, 4.0);
-  OnlineSimOptions opt;
-  const OnlineSimResult base =
+  SchedulerOptions opt;
+  const OnlineReport base =
       simulate_online(s.model, s.pc.cluster, s.plan, reqs, opt);
-  const OnlineSimResult with_empty =
+  const OnlineReport with_empty =
       simulate_online(s.model, s.pc.cluster, s.plan, reqs, opt, FaultPlan{});
   ASSERT_TRUE(base.ok);
   EXPECT_EQ(base.completed, with_empty.completed);
   EXPECT_DOUBLE_EQ(base.makespan_s, with_empty.makespan_s);
   EXPECT_EQ(with_empty.fault_events, 0);
   EXPECT_EQ(base.decisions.size(), with_empty.decisions.size());
+}
+
+TEST(SimFaults, OnlineSimDispatchSlowRuleIsAStragglerNotAFailure) {
+  // "sim.dispatch" mirrors the runtime's "serve.dispatch", where a slow
+  // rule sleeps and a drop rule does nothing: neither may fail the
+  // dispatch in the simulator either.
+  SimSetup s;
+  Rng rng(21);
+  const std::vector<OnlineRequest> reqs =
+      generate_sharegpt_workload(rng, 10, 4.0);
+  SchedulerOptions opt;
+  opt.policy = SchedulerPolicy::kIterationLevel;
+  const OnlineReport base =
+      simulate_online(s.model, s.pc.cluster, s.plan, reqs, opt);
+  ASSERT_TRUE(base.ok) << base.error;
+
+  FaultPlan slow;
+  slow.rules.push_back(rule("sim.dispatch", FaultKind::kSlow, 1.0,
+                            std::numeric_limits<int>::max(), 50.0));
+  const OnlineReport r =
+      simulate_online(s.model, s.pc.cluster, s.plan, reqs, opt, slow);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.failed, 0);
+  EXPECT_EQ(r.retries, 0);
+  EXPECT_GT(r.fault_events, 0);
+  EXPECT_EQ(r.completed, 10);
+  EXPECT_GT(r.makespan_s, base.makespan_s);
+
+  FaultPlan drop;
+  drop.rules.push_back(rule("sim.dispatch", FaultKind::kDrop, 1.0));
+  const OnlineReport d =
+      simulate_online(s.model, s.pc.cluster, s.plan, reqs, opt, drop);
+  EXPECT_EQ(d.failed, 0);
+  EXPECT_EQ(d.retries, 0);
+  EXPECT_GT(d.fault_events, 0);
+  EXPECT_DOUBLE_EQ(d.makespan_s, base.makespan_s);
 }
 
 TEST(SimFaults, PipelineSimStragglerInflatesLatency) {

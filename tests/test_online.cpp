@@ -54,14 +54,14 @@ TEST_F(OnlineSimTest, CompletesAllRequestsUnderBothPolicies) {
   const auto reqs = generate_sharegpt_workload(rng, 60, 1.0, 512, 64);
   for (SchedulerPolicy policy : {SchedulerPolicy::kStaticBatching,
                                  SchedulerPolicy::kIterationLevel}) {
-    OnlineSimOptions opt;
+    SchedulerOptions opt;
     opt.policy = policy;
-    const OnlineSimResult r =
+    const OnlineReport r =
         simulate_online(*model_, cluster_, plan_, reqs, opt);
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_EQ(r.completed, 60);
     EXPECT_GT(r.throughput_tokens_per_s, 0.0);
-    EXPECT_GE(r.p95_latency_s, r.mean_latency_s);
+    EXPECT_GE(r.latency.p95_s, r.latency.mean_s);
     EXPECT_GT(r.makespan_s, reqs.back().arrival_s);
   }
 }
@@ -71,16 +71,16 @@ TEST_F(OnlineSimTest, IterationLevelBeatsStaticOnMixedLengths) {
   // batching wastes rounds padding to the slowest member.
   Rng rng(13);
   const auto reqs = generate_sharegpt_workload(rng, 80, 2.0, 512, 128);
-  OnlineSimOptions stat;
+  SchedulerOptions stat;
   stat.policy = SchedulerPolicy::kStaticBatching;
-  OnlineSimOptions orca;
+  SchedulerOptions orca;
   orca.policy = SchedulerPolicy::kIterationLevel;
-  const OnlineSimResult rs =
+  const OnlineReport rs =
       simulate_online(*model_, cluster_, plan_, reqs, stat);
-  const OnlineSimResult ro =
+  const OnlineReport ro =
       simulate_online(*model_, cluster_, plan_, reqs, orca);
   ASSERT_TRUE(rs.ok && ro.ok);
-  EXPECT_LT(ro.mean_latency_s, rs.mean_latency_s);
+  EXPECT_LT(ro.latency.mean_s, rs.latency.mean_s);
 }
 
 TEST_F(OnlineSimTest, OomPlanIsRejected) {
@@ -88,7 +88,7 @@ TEST_F(OnlineSimTest, OomPlanIsRejected) {
   std::fill(bad.layer_bits.begin(), bad.layer_bits.end(), 16);
   Rng rng(5);
   const auto reqs = generate_sharegpt_workload(rng, 5, 1.0);
-  const OnlineSimResult r = simulate_online(*model_, cluster_, bad, reqs);
+  const OnlineReport r = simulate_online(*model_, cluster_, bad, reqs);
   EXPECT_FALSE(r.ok);
 }
 
@@ -100,11 +100,11 @@ TEST_F(OnlineSimTest, LoneRequestDispatchesAtStaleDeadline) {
   r.arrival_s = 1.5;
   r.prompt_len = 64;
   r.gen_tokens = 16;
-  OnlineSimOptions opt;
+  SchedulerOptions opt;
   opt.policy = SchedulerPolicy::kStaticBatching;
   opt.batch_size = 16;
   opt.max_wait_s = 4.0;
-  const OnlineSimResult res = simulate_online(*model_, cluster_, plan_, {r}, opt);
+  const OnlineReport res = simulate_online(*model_, cluster_, plan_, {r}, opt);
   ASSERT_TRUE(res.ok) << res.error;
   ASSERT_EQ(res.requests.size(), 1u);
   EXPECT_DOUBLE_EQ(res.requests[0].admit_s, 5.5);  // arrival + max_wait_s
@@ -125,15 +125,15 @@ TEST_F(OnlineSimTest, QueueDelayNoLongerIncludesPrefill) {
     r.gen_tokens = 8;
     reqs.push_back(r);
   }
-  OnlineSimOptions opt;
+  SchedulerOptions opt;
   opt.policy = SchedulerPolicy::kIterationLevel;
   opt.max_batch = 8;
-  const OnlineSimResult res =
+  const OnlineReport res =
       simulate_online(*model_, cluster_, plan_, reqs, opt);
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(res.completed, 8);
-  EXPECT_NEAR(res.mean_queue_delay_s, 0.0, 1e-12);
-  EXPECT_GT(res.mean_prefill_s, 0.0);
+  EXPECT_NEAR(res.queue_delay.mean_s, 0.0, 1e-12);
+  EXPECT_GT(res.prefill.mean_s, 0.0);
   for (const RequestStats& r : res.requests) {
     EXPECT_DOUBLE_EQ(r.admit_s, 0.0);
     EXPECT_GT(r.prefill_s, 0.0);
@@ -145,14 +145,14 @@ TEST_F(OnlineSimTest, HigherLoadRaisesLatency) {
   Rng a(3), b(3);
   const auto light = generate_sharegpt_workload(a, 50, 0.5, 512, 64);
   const auto heavy = generate_sharegpt_workload(b, 50, 8.0, 512, 64);
-  OnlineSimOptions opt;
+  SchedulerOptions opt;
   opt.policy = SchedulerPolicy::kIterationLevel;
-  const OnlineSimResult rl =
+  const OnlineReport rl =
       simulate_online(*model_, cluster_, plan_, light, opt);
-  const OnlineSimResult rh =
+  const OnlineReport rh =
       simulate_online(*model_, cluster_, plan_, heavy, opt);
   ASSERT_TRUE(rl.ok && rh.ok);
-  EXPECT_GE(rh.mean_queue_delay_s, rl.mean_queue_delay_s);
+  EXPECT_GE(rh.queue_delay.mean_s, rl.queue_delay.mean_s);
 }
 
 }  // namespace

@@ -428,6 +428,84 @@ TEST_F(MigrationTest, IncompatibleDegradeEngineIsATerminalServingError) {
   }
 }
 
+TEST_F(MigrationTest, IncompatibleReplanEngineIsATerminalServingError) {
+  // The replan hook hands back an engine for a different model: trace
+  // replay and the live loop must both end in a terminal error naming it,
+  // and the live engine must fail fast afterwards.
+  ModelSpec other = spec_;
+  other.vocab = 80;
+  const ModelWeights other_weights = build_random_model(
+      other, std::vector<int>(static_cast<std::size_t>(other.layers), 8),
+      2024);
+  PipelineEngine wrong(other_weights, {{0, 3}, {3, 6}}, 1, 1);
+
+  // Two injected allocation faults make the first completed dispatch a
+  // memory-pressure verdict (no warmup), whatever the timing.
+  FaultPlan plan;
+  plan.rules.push_back(rule("engine.kv_alloc", FaultKind::kAllocFail, 1.0, 2));
+  OnlineEngineOptions opt;
+  opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
+  opt.scheduler.max_retries = 4;
+  opt.scheduler.retry_backoff_s = 0.001;
+  opt.health.warmup = 0;
+  int consulted = 0;
+  opt.replan = [&](const HealthVerdict&) {
+    ++consulted;
+    ReplanOutcome out;
+    out.delta.kind = PlanDeltaKind::kMigrateLayer;
+    out.engine = &wrong;
+    return out;
+  };
+  const auto names_incompatible = [](const Error& e) {
+    const std::string what = e.what();
+    return what.find("replan") != std::string::npos &&
+           what.find("incompatible") != std::string::npos &&
+           what.find("vocab") != std::string::npos;
+  };
+
+  std::vector<OnlineTraceRequest> trace(3);
+  Rng rng(11);
+  for (auto& t : trace) {
+    t.prompt = make_prompt(rng, spec_, 8);
+    t.gen_tokens = 3;
+  }
+  {
+    ArmedPlan armed(plan);
+    try {
+      serve_trace(engine_, trace, opt);
+      FAIL() << "expected Error for the incompatible replan engine";
+    } catch (const Error& e) {
+      EXPECT_TRUE(names_incompatible(e)) << e.what();
+    }
+  }
+  EXPECT_EQ(consulted, 1);
+  if (!engine_.healthy()) engine_.restart();
+
+  ArmedPlan armed(plan);
+  OnlineEngine server(engine_, opt);
+  for (const auto& t : trace) server.submit(t.prompt, t.gen_tokens);
+  server.close();
+  for (int i = 0; i < 2; ++i) {  // wait() rethrows the same error each time
+    try {
+      server.wait();
+      FAIL() << "expected Error from the live loop";
+    } catch (const Error& e) {
+      EXPECT_TRUE(names_incompatible(e)) << e.what();
+    }
+  }
+  EXPECT_EQ(consulted, 2);
+  // submit() fails fast naming the loop's failure (not the closed stream).
+  try {
+    server.submit(trace[0].prompt, 3);
+    FAIL() << "expected submit() to fail fast";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("serving loop failed"),
+              std::string::npos)
+        << e.what();
+    EXPECT_TRUE(names_incompatible(e)) << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Elastic migration end to end: a sustained straggler triggers live
 // re-planning, throughput recovers, and every request stays exact.
@@ -564,7 +642,7 @@ TEST_F(ControlLoopTest, ReplanEventsMatchAcrossBackendsOnStragglerTraces) {
     OnlineReplanOptions ropt;
     ropt.health = opt.health;
     ropt.cost = &s.cost;
-    const OnlineSimResult sim = simulate_online(
+    const OnlineReport sim = simulate_online(
         spec_, s.cluster, s.plan, reqs, opt.scheduler, plan, &ropt);
     ASSERT_TRUE(sim.ok) << sim.error;
 
@@ -602,7 +680,7 @@ TEST(SimControlLoop, ReplanningRecoversVirtualThroughputDeterministically) {
     r.prompt_len = 8;
     r.gen_tokens = 24;
   }
-  OnlineSimOptions opt;
+  SchedulerOptions opt;
   opt.policy = SchedulerPolicy::kIterationLevel;
 
   FaultPlan faults;
@@ -611,7 +689,7 @@ TEST(SimControlLoop, ReplanningRecoversVirtualThroughputDeterministically) {
   slow.after = 8;
   faults.rules.push_back(slow);
 
-  const OnlineSimResult tolerate =
+  const OnlineReport tolerate =
       simulate_online(spec, cluster, plan, reqs, opt, faults);
   ASSERT_TRUE(tolerate.ok) << tolerate.error;
   EXPECT_EQ(tolerate.migrations, 0);
@@ -619,7 +697,7 @@ TEST(SimControlLoop, ReplanningRecoversVirtualThroughputDeterministically) {
   OnlineReplanOptions ropt;
   ropt.cost = &cost;
   ropt.health.cooldown = 3;
-  const OnlineSimResult replanned =
+  const OnlineReport replanned =
       simulate_online(spec, cluster, plan, reqs, opt, faults, &ropt);
   ASSERT_TRUE(replanned.ok) << replanned.error;
   EXPECT_GE(replanned.migrations, 1);
@@ -629,7 +707,7 @@ TEST(SimControlLoop, ReplanningRecoversVirtualThroughputDeterministically) {
                 replanned.failed,
             4);
 
-  const OnlineSimResult again =
+  const OnlineReport again =
       simulate_online(spec, cluster, plan, reqs, opt, faults, &ropt);
   ASSERT_EQ(again.replans.size(), replanned.replans.size());
   for (std::size_t i = 0; i < again.replans.size(); ++i)

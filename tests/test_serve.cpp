@@ -403,7 +403,7 @@ TEST_F(OnlineEngineTest, SimAndRuntimeMakeIdenticalDecisions) {
     opt.scheduler.batch_size = 4;
     opt.scheduler.max_batch = 4;
     opt.scheduler.max_wait_s = 0.0;  // burst: dispatch as soon as queued
-    const OnlineSimResult sim =
+    const OnlineReport sim =
         simulate_online(sim_model, pc.cluster, plan, sim_reqs, opt.scheduler);
     ASSERT_TRUE(sim.ok) << sim.error;
     const OnlineReport rt = serve_trace(engine_, rt_trace, opt);
@@ -461,7 +461,7 @@ TEST_F(OnlineEngineTest, TenantAwareParityOnBurstTraces) {
     opt.scheduler.max_batch = 4;
     opt.scheduler.max_wait_s = 0.0;
     opt.scheduler.tenants = tenants;
-    const OnlineSimResult sim =
+    const OnlineReport sim =
         simulate_online(sim_model, pc.cluster, plan, sim_reqs, opt.scheduler);
     ASSERT_TRUE(sim.ok) << sim.error;
     const OnlineReport rt = serve_trace(engine_, rt_trace, opt);

@@ -1,5 +1,5 @@
 // Step-level decode sessions over the paged KV cache: the KvCacheManager
-// unit suite (page reuse, LRU eviction/preemption, footprint accounting
+// unit suite (page reuse, footprint accounting
 // reconciled with the planner's memory model), the engine session API, and
 // the mixed-length serving regression that pins ragged batches to each
 // request's unbatched greedy continuation — the fidelity bug the padded
@@ -24,13 +24,12 @@ namespace llmpq {
 namespace {
 
 // ---------------------------------------------------------------------------
-// KvCacheManager: paged allocation, eviction, accounting.
+// KvCacheManager: paged allocation, accounting.
 // ---------------------------------------------------------------------------
 
-KvCacheManagerOptions paged(std::size_t page_size, std::size_t max_pages) {
+KvCacheManagerOptions paged(std::size_t page_size) {
   KvCacheManagerOptions o;
   o.page_size = page_size;
-  o.max_pages = max_pages;
   return o;
 }
 
@@ -42,7 +41,7 @@ std::vector<float> vec_of(std::size_t hidden, float base) {
 }
 
 TEST(KvCacheManager, AppendReadRoundTripAcrossPages) {
-  KvCacheManager m(/*hidden=*/4, paged(/*page_size=*/3, /*max_pages=*/0));
+  KvCacheManager m(/*hidden=*/4, paged(/*page_size=*/3));
   m.begin_seq(7);
   m.reserve(7, 8);  // 3 pages
   for (int t = 0; t < 8; ++t) {
@@ -64,7 +63,7 @@ TEST(KvCacheManager, AppendReadRoundTripAcrossPages) {
 }
 
 TEST(KvCacheManager, ValidatesSequenceAndPosition) {
-  KvCacheManager m(/*hidden=*/2, paged(4, 0));
+  KvCacheManager m(/*hidden=*/2, paged(4));
   const auto k = vec_of(2, 0.0f), v = vec_of(2, 0.0f);
   EXPECT_THROW(m.append(1, k.data(), v.data()), InvalidArgumentError);
   m.begin_seq(1);
@@ -85,7 +84,7 @@ TEST(KvCacheManager, ValidatesSequenceAndPosition) {
 }
 
 TEST(KvCacheManager, FreedPagesAreReusedNotReallocated) {
-  KvCacheManager m(/*hidden=*/8, paged(16, 0));
+  KvCacheManager m(/*hidden=*/8, paged(16));
   m.begin_seq(1);
   m.reserve(1, 40);  // 3 pages
   EXPECT_EQ(m.pool_pages(), 3u);
@@ -100,76 +99,8 @@ TEST(KvCacheManager, FreedPagesAreReusedNotReallocated) {
   EXPECT_EQ(m.footprint_bytes(), footprint);
 }
 
-TEST(KvCacheManager, CappedPoolEvictsLruAndFiresPreemptHook) {
-  KvCacheManager m(/*hidden=*/2, paged(/*page_size=*/4, /*max_pages=*/2));
-  std::vector<int> preempted;
-  m.set_preempt_hook([&](int seq) { preempted.push_back(seq); });
-  const auto k = vec_of(2, 1.0f), v = vec_of(2, 2.0f);
-  m.begin_seq(10);
-  m.reserve(10, 4);
-  m.append(10, k.data(), v.data());
-  m.begin_seq(11);
-  m.reserve(11, 4);  // pool full: 2 pages, both held
-  m.append(11, k.data(), v.data());
-  // Touch 10 (a no-op re-reservation bumps recency, exactly what a decode
-  // step does) so 11 is the LRU victim.
-  m.reserve(10, 4);
-  m.begin_seq(12);
-  m.reserve(12, 4);  // no free page, cap reached -> evict 11
-  EXPECT_EQ(preempted, std::vector<int>{11});
-  EXPECT_EQ(m.evictions(), 1u);
-  EXPECT_EQ(m.filled(11), 0u);  // victim must be re-prefilled
-  EXPECT_EQ(m.filled(10), 1u);  // survivor untouched
-  EXPECT_EQ(m.pool_pages(), 2u);
-}
-
-TEST(KvCacheManager, PinnedSequencesAreNeverEvicted) {
-  KvCacheManager m(/*hidden=*/2, paged(4, 1));
-  const auto k = vec_of(2, 0.0f), v = vec_of(2, 0.0f);
-  m.begin_seq(1);
-  m.pin(1);
-  m.reserve(1, 4);
-  m.append(1, k.data(), v.data());
-  m.begin_seq(2);
-  // The only page belongs to a pinned sequence; a reservation can neither
-  // steal it nor cannibalize its own sequence, so it must fail cleanly.
-  EXPECT_THROW(m.reserve(2, 4), std::bad_alloc);
-  EXPECT_EQ(m.filled(1), 1u);
-  m.unpin(1);
-  EXPECT_NO_THROW(m.reserve(2, 4));  // now 1 is evictable
-  EXPECT_EQ(m.evictions(), 1u);
-}
-
-TEST(KvCacheManager, EvictedSequenceRePrefillsCorrectly) {
-  KvCacheManager m(/*hidden=*/2, paged(/*page_size=*/4, /*max_pages=*/2));
-  int victims = 0;
-  m.set_preempt_hook([&](int) { ++victims; });
-  m.begin_seq(1);
-  m.reserve(1, 4);
-  for (int t = 0; t < 4; ++t) {
-    const auto k = vec_of(2, 10.0f + static_cast<float>(t));
-    const auto v = vec_of(2, 20.0f + static_cast<float>(t));
-    m.append(1, k.data(), v.data());
-  }
-  m.begin_seq(2);
-  m.reserve(2, 8);  // takes both pages: evicts 1, then the freed page
-  EXPECT_EQ(victims, 1);
-  EXPECT_EQ(m.filled(1), 0u);
-  m.free_seq(2);
-  // Re-prefill the victim: reserve again, append the same data, read back.
-  m.reserve(1, 4);
-  for (int t = 0; t < 4; ++t) {
-    const auto k = vec_of(2, 10.0f + static_cast<float>(t));
-    const auto v = vec_of(2, 20.0f + static_cast<float>(t));
-    m.append(1, k.data(), v.data());
-  }
-  for (int t = 0; t < 4; ++t)
-    EXPECT_FLOAT_EQ(m.k_at(1, static_cast<std::size_t>(t))[0],
-                    10.0f + static_cast<float>(t));
-}
-
 TEST(KvCacheManager, FootprintIsMonotonicAcrossChurn) {
-  KvCacheManager m(/*hidden=*/4, paged(8, 0));
+  KvCacheManager m(/*hidden=*/4, paged(8));
   std::size_t last = m.footprint_bytes();
   for (int round = 0; round < 5; ++round) {
     m.begin_seq(round);
@@ -199,7 +130,7 @@ TEST(KvCacheManager, PlannedBytesReconcilesWithPlannerMemModel) {
       KvCacheManager::planned_bytes(batch, 100, 64, page);
   EXPECT_EQ(ragged, KvCacheManager::planned_bytes(batch, 112, 64, page));
   // And the real pool matches the static plan.
-  KvCacheManager m(64, paged(page, 0));
+  KvCacheManager m(64, paged(page));
   for (int b = 0; b < static_cast<int>(batch); ++b) {
     m.begin_seq(b);
     m.reserve(b, max_seq);

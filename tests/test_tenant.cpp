@@ -11,6 +11,10 @@
 #include "baselines/baselines.hpp"
 #include "common/error.hpp"
 #include "hw/trace.hpp"
+#include "runtime/engine.hpp"
+#include "runtime/transformer.hpp"
+#include "runtime/weights.hpp"
+#include "serve/online_engine.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/tenant.hpp"
 #include "sim/online_sim.hpp"
@@ -445,7 +449,7 @@ TEST(TenantWorkload, DeterministicShareWeightedAndClassStamped) {
 
 void dump_tenant_chaos_artifact(const std::string& test, std::uint64_t seed,
                                 const FaultPlan& plan,
-                                const OnlineSimResult& res) {
+                                const OnlineReport& res) {
   const char* dir = std::getenv("LLMPQ_CHAOS_ARTIFACT_DIR");
   if (dir == nullptr || *dir == '\0') return;
   std::ostringstream path;
@@ -502,7 +506,7 @@ TEST(TenantChaos, SweepConservesEveryTenantRequest) {
     r.max_fires = 4;
     faults.rules.push_back(r);
 
-    OnlineSimOptions opt;
+    SchedulerOptions opt;
     opt.policy = SchedulerPolicy::kIterationLevel;
     opt.exec = DecodeExec::kContinuous;
     opt.max_batch = 4;
@@ -512,7 +516,7 @@ TEST(TenantChaos, SweepConservesEveryTenantRequest) {
     opt.retry_backoff_s = 0.01;
     opt.tenants = tenants;
 
-    const OnlineSimResult res =
+    const OnlineReport res =
         simulate_online(model, pc.cluster, plan, reqs, opt, faults);
     ASSERT_TRUE(res.ok) << res.error;
 
@@ -551,6 +555,59 @@ TEST(TenantChaos, SweepConservesEveryTenantRequest) {
       dump_tenant_chaos_artifact("SweepConservesEveryTenantRequest", seed,
                                  faults, res);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Per-class engine routing on the live engine.
+// ---------------------------------------------------------------------------
+
+TEST(ClassRouting, LiveEngineServesEachClassOnItsEngine) {
+  // Class-1 rows execute on a variant engine — the same weights split into
+  // different stages, so outputs stay bit-exact — while class 0 and a class
+  // the router declines stay on the base engine. Submissions race the live
+  // loop, which releases its lock around each execution on either engine.
+  ModelSpec spec;
+  spec.name = "tiny-route";
+  spec.family = "opt";
+  spec.hidden = 32;
+  spec.ffn = 128;
+  spec.heads = 4;
+  spec.layers = 6;
+  spec.vocab = 96;
+  spec.max_pos = 64;
+  const ModelWeights weights =
+      build_random_model(spec, std::vector<int>(6, 8), 2024);
+  PipelineEngine base(weights, {{0, 3}, {3, 6}}, 1, 1);
+  PipelineEngine variant(weights, {{0, 2}, {2, 6}}, 1, 1);
+
+  Rng rng(7);
+  std::vector<std::vector<TokenId>> prompts(6);
+  for (auto& p : prompts)
+    for (int t = 0; t < 8; ++t)
+      p.push_back(static_cast<TokenId>(rng.uniform_int(0, spec.vocab - 1)));
+  const auto reference = reference_generate(weights, prompts, 4);
+
+  OnlineEngineOptions opt;
+  opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
+  opt.scheduler.max_batch = 4;
+  opt.class_engine = [&](int cls) -> PipelineEngine* {
+    return cls == 1 ? &variant : nullptr;
+  };
+  OnlineReport rep;
+  {
+    OnlineEngine server(base, opt);
+    for (std::size_t i = 0; i < prompts.size(); ++i)
+      server.submit(prompts[i], 4, /*tenant_id=*/0,
+                    /*req_class=*/static_cast<int>(i % 3));
+    server.close();
+    rep = server.wait();
+  }
+  EXPECT_EQ(rep.completed, 6);
+  ASSERT_EQ(rep.generated.size(), prompts.size());
+  for (std::size_t i = 0; i < prompts.size(); ++i)
+    EXPECT_EQ(rep.generated[i], reference[i]) << "request " << i;
+  EXPECT_GT(variant.stats().prefill.tokens, 0u);
+  EXPECT_GT(base.stats().prefill.tokens, 0u);
 }
 
 }  // namespace
