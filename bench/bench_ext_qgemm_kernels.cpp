@@ -7,11 +7,15 @@
 // re-bake both when the kernels change.
 //
 // Kernels are driven directly (qgemm_rows_kernel, single thread) so the
-// measurement isolates SIMD gain from thread-pool scaling.
+// measurement isolates SIMD gain from thread-pool scaling. The tied LM
+// head's argmax kernel (argmax_rows_kernel) is timed the same way at
+// OPT-125m's shape, 50272 x 768 at m = 4, and reported as bits 32,
+// format "lm_head".
 //
 // Flags:
 //   --json PATH   write a "llmpq-kernels/v1" artifact
 //   --min_ms N    minimum measured wall time per cell (default 50)
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -39,29 +43,41 @@ std::vector<float> random_values(std::size_t n, std::uint64_t seed,
 
 struct Cell {
   int bits;
-  QuantFormat format;
+  std::string format;
   SimdLevel dispatch;
   double ms_per_call;
   double gflops;
   double speedup_vs_scalar;
 };
 
-// Median-of-reps wall time of one full [m x k] * W^T[n x k] pass.
-double time_ms(QgemmRowsFn fn, const std::vector<float>& x, std::size_t m,
-               std::size_t k, const QuantizedMatrix& w, std::vector<float>& y,
-               std::vector<float>& scratch, double min_ms) {
+// Mean wall time of one `pass` (one full kernel call).
+template <typename Pass>
+double time_ms(const Pass& pass, double min_ms) {
   // Warm up, then grow the repetition count until the batch is long
   // enough to be timer-noise-free.
-  fn(x.data(), m, k, w, nullptr, y.data(), 0, w.rows(), scratch.data());
+  pass();
   int reps = 1;
   for (;;) {
     StopwatchNs sw;
-    for (int i = 0; i < reps; ++i)
-      fn(x.data(), m, k, w, nullptr, y.data(), 0, w.rows(), scratch.data());
+    for (int i = 0; i < reps; ++i) pass();
     const double ms = static_cast<double>(sw.elapsed_ns()) / 1e6;
     if (ms >= min_ms || reps >= (1 << 20)) return ms / reps;
     reps = ms <= 0.0 ? reps * 8 : reps * 2;
   }
+}
+
+Cell record(int bits, const std::string& format, SimdLevel level, double ms,
+            double flop, double scalar_ms) {
+  Cell c;
+  c.bits = bits;
+  c.format = format;
+  c.dispatch = level;
+  c.ms_per_call = ms;
+  c.gflops = flop / (ms * 1e6);
+  c.speedup_vs_scalar = scalar_ms / ms;
+  std::printf("%5d %12s %8s %10.3f %9.2f %8.2fx\n", bits, format.c_str(),
+              simd_level_name(level), ms, c.gflops, c.speedup_vs_scalar);
+  return c;
 }
 
 }  // namespace
@@ -97,21 +113,41 @@ int main(int argc, char** argv) {
           w, n, k, bits, Rounding::kDeterministic, rng, format);
       double scalar_ms = 0.0;
       for (const SimdLevel level : levels) {
-        const double ms = time_ms(qgemm_rows_kernel(level), x, m, k, qw, y,
-                                  scratch, min_ms);
+        const QgemmRowsFn fn = qgemm_rows_kernel(level);
+        const double ms = time_ms(
+            [&] {
+              fn(x.data(), m, k, qw, nullptr, y.data(), 0, n, scratch.data());
+            },
+            min_ms);
         if (level == SimdLevel::kScalar) scalar_ms = ms;
-        Cell c;
-        c.bits = bits;
-        c.format = format;
-        c.dispatch = level;
-        c.ms_per_call = ms;
-        c.gflops = flop / (ms * 1e6);
-        c.speedup_vs_scalar = scalar_ms / ms;
-        cells.push_back(c);
-        std::printf("%5d %12s %8s %10.3f %9.2f %8.2fx\n", bits,
-                    quant_format_name(format), simd_level_name(level), ms,
-                    c.gflops, c.speedup_vs_scalar);
+        cells.push_back(record(bits, quant_format_name(format), level, ms,
+                               flop, scalar_ms));
       }
+    }
+  }
+
+  // The tied LM head: fused GEMV + argmax over the fp32 embedding.
+  {
+    const std::size_t vocab = 50272, h = 768;
+    const auto hx = random_values(m * h, 4, 1.0f);
+    const auto e = random_values(vocab * h, 5, 0.036f);
+    std::vector<float> best_logit(m);
+    std::vector<std::size_t> best_index(m);
+    const double head_flop = 2.0 * static_cast<double>(m) *
+                             static_cast<double>(vocab) *
+                             static_cast<double>(h);
+    double scalar_ms = 0.0;
+    for (const SimdLevel level : levels) {
+      const ArgmaxRowsFn fn = argmax_rows_kernel(level);
+      const double ms = time_ms(
+          [&] {
+            std::fill(best_logit.begin(), best_logit.end(), -1e30f);
+            fn(hx.data(), m, h, e.data(), 0, vocab, best_logit.data(),
+               best_index.data());
+          },
+          min_ms);
+      if (level == SimdLevel::kScalar) scalar_ms = ms;
+      cells.push_back(record(32, "lm_head", level, ms, head_flop, scalar_ms));
     }
   }
 
@@ -133,7 +169,7 @@ int main(int argc, char** argv) {
     for (const Cell& c : cells) {
       jw.begin_object();
       jw.kv("bits", c.bits);
-      jw.kv("format", quant_format_name(c.format));
+      jw.kv("format", c.format);
       jw.kv("dispatch", simd_level_name(c.dispatch));
       jw.kv("ms_per_call", c.ms_per_call);
       jw.kv("gflops", c.gflops);

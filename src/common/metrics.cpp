@@ -62,6 +62,13 @@ std::string format_engine_stats(const EngineStats& stats) {
   out << "decode:  " << stats.decode.tokens << " tokens in "
       << Table::fmt(stats.decode.seconds * 1e3) << " ms ("
       << Table::fmt(stats.decode.tokens_per_s()) << " tok/s)\n";
+  out << "lm_head: " << stats.lm_head.tokens << " rows in "
+      << Table::fmt(stats.lm_head.seconds * 1e3) << " ms ("
+      << Table::fmt(stats.lm_head.tokens > 0
+                        ? stats.lm_head.seconds * 1e3 /
+                              static_cast<double>(stats.lm_head.tokens)
+                        : 0.0)
+      << " ms/row)\n";
   out << "generate() calls: " << stats.generate_calls << "\n";
   return out.str();
 }
@@ -114,6 +121,8 @@ void write_json(JsonWriter& w, const EngineStats& s) {
   write_json(w, s.prefill);
   w.key("decode");
   write_json(w, s.decode);
+  w.key("lm_head");
+  write_json(w, s.lm_head);
   w.key("stages");
   w.begin_array();
   for (const StageStats& st : s.stages) write_json(w, st);

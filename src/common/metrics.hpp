@@ -68,6 +68,10 @@ struct EngineStats {
   std::vector<StageStats> stages;
   PhaseStats prefill;
   PhaseStats decode;
+  /// The master thread's LM head (final norm + tied-embedding argmax):
+  /// `tokens` counts the rows it sampled, `seconds` its wall time —
+  /// the master's share of each pass, next to the stages' busy time.
+  PhaseStats lm_head;
   std::uint64_t generate_calls = 0;  ///< completed generate() calls
 };
 
@@ -95,11 +99,12 @@ class StageMetrics {
 };
 
 /// Per-phase accumulator (tokens + wall time across generate() calls).
+/// Relaxed adds: each counter is independent, snapshots only read them.
 class PhaseMetrics {
  public:
   void add(std::uint64_t tokens, std::uint64_t ns) {
-    tokens_ += tokens;
-    ns_ += ns;
+    tokens_.fetch_add(tokens, std::memory_order_relaxed);
+    ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
   PhaseStats snapshot() const;

@@ -15,6 +15,9 @@ namespace {
 /// outweighs the parallel speedup; measured on small CPU hosts.
 constexpr std::size_t kParallelWorkThreshold = 64 * 1024;
 
+/// gemv_argmax's starting logit: any finite logit above it wins.
+constexpr float kNoLogit = -1e30f;
+
 void check_qgemm_args(std::span<const float> x, std::size_t m,
                       std::size_t cols, const QuantizedMatrix& w,
                       std::span<const float> bias, std::span<float> y) {
@@ -69,6 +72,44 @@ void qgemm(std::span<const float> x, std::size_t m, std::size_t cols,
       kernel(x.data(), m, cols, w, bias_ptr, y.data(), r0, r1,
              scratch.data());
   });
+}
+
+void gemv_argmax(std::span<const float> x, std::size_t m, std::size_t cols,
+                 std::span<const float> e, std::size_t rows,
+                 std::span<std::size_t> best_index) {
+  check_arg(e.size() == rows * cols, "gemv_argmax: e size mismatch");
+  check_arg(x.size() == m * cols, "gemv_argmax: x size mismatch");
+  check_arg(best_index.size() == m, "gemv_argmax: output size mismatch");
+  const ArgmaxRowsFn kernel = argmax_rows_kernel(active_simd_level());
+  std::vector<float> best_logit(m, kNoLogit);
+  std::fill(best_index.begin(), best_index.end(), 0);
+  ThreadPool& pool = ThreadPool::shared();
+  if (pool.size() <= 1 || ThreadPool::inside_worker() ||
+      m * cols * rows < kParallelWorkThreshold) {
+    kernel(x.data(), m, cols, e.data(), 0, rows, best_logit.data(),
+           best_index.data());
+    return;
+  }
+  // Vocab blocks, each with its own winner slots; merged below in
+  // ascending block order with the kernel's strict `>`, which keeps the
+  // serial scan's lowest-index-wins result.
+  const std::size_t blocks = std::min(rows, pool.size() * 4);
+  const std::size_t per = (rows + blocks - 1) / blocks;
+  std::vector<float> blk_logit(blocks * m, kNoLogit);
+  std::vector<std::size_t> blk_index(blocks * m, 0);
+  pool.parallel_for(blocks, [&](std::size_t blk) {
+    const std::size_t r0 = blk * per;
+    const std::size_t r1 = std::min(rows, r0 + per);
+    if (r0 < r1)
+      kernel(x.data(), m, cols, e.data(), r0, r1, blk_logit.data() + blk * m,
+             blk_index.data() + blk * m);
+  });
+  for (std::size_t blk = 0; blk < blocks; ++blk)
+    for (std::size_t i = 0; i < m; ++i)
+      if (blk_logit[blk * m + i] > best_logit[i]) {
+        best_logit[i] = blk_logit[blk * m + i];
+        best_index[i] = blk_index[blk * m + i];
+      }
 }
 
 void gemm_f32(std::span<const float> x, std::size_t m, std::size_t cols,

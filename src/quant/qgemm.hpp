@@ -33,6 +33,22 @@ void qgemm_serial(std::span<const float> x, std::size_t m, std::size_t cols,
                   const QuantizedMatrix& w, std::span<const float> bias,
                   std::span<float> y);
 
+/// The tied LM head's fused GEMV + greedy argmax: best_index[i] is the
+/// row r of the fp32 matrix e[rows x cols] maximizing dot(x_i, e_r) for
+/// each of the m rows of x[m x cols]. `e` is read in place, one pass per
+/// call, through the argmax row kernel picked at runtime (see
+/// quant/qgemm_kernels.hpp), split into vocab blocks over the shared
+/// ThreadPool like qgemm(). Contract: every dot is computed by exactly one
+/// task; candidates start at -1e30f and win only when strictly greater,
+/// inside a block and in the ascending-order merge of the block winners,
+/// so ties go to the lowest index, NaN logits never win, and the result
+/// does not depend on the thread count. At SimdLevel::kScalar each dot
+/// accumulates from 0.0f over ascending columns (bit-defining); vector
+/// levels reassociate it within qgemm's documented tolerance.
+void gemv_argmax(std::span<const float> x, std::size_t m, std::size_t cols,
+                 std::span<const float> e, std::size_t rows,
+                 std::span<std::size_t> best_index);
+
 /// Plain fp32 GEMM with the same layout (used as the ground truth in tests).
 void gemm_f32(std::span<const float> x, std::size_t m, std::size_t cols,
               std::span<const float> w, std::size_t rows,

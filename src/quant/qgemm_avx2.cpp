@@ -13,4 +13,10 @@ void qgemm_rows_avx2(const float* x, std::size_t m, std::size_t cols,
   qgemm_rows_impl(x, m, cols, w, bias, y, r0, r1, scratch);
 }
 
+void argmax_rows_avx2(const float* x, std::size_t m, std::size_t cols,
+                      const float* e, std::size_t r0, std::size_t r1,
+                      float* best_logit, std::size_t* best_index) {
+  argmax_rows_impl(x, m, cols, e, r0, r1, best_logit, best_index);
+}
+
 }  // namespace llmpq

@@ -125,6 +125,21 @@ QgemmRowsFn qgemm_rows_kernel(SimdLevel level) {
   }
 }
 
+ArgmaxRowsFn argmax_rows_kernel(SimdLevel level) {
+  switch (clamp_to_available(level)) {
+#if defined(LLMPQ_HAVE_AVX512)
+    case SimdLevel::kAvx512:
+      return &argmax_rows_avx512;
+#endif
+#if defined(LLMPQ_HAVE_AVX2)
+    case SimdLevel::kAvx2:
+      return &argmax_rows_avx2;
+#endif
+    default:
+      return &argmax_rows_scalar;
+  }
+}
+
 void qgemm_rows_scalar(const float* x, std::size_t m, std::size_t cols,
                        const QuantizedMatrix& w, const float* bias, float* y,
                        std::size_t r0, std::size_t r1, float* scratch) {
@@ -141,6 +156,23 @@ void qgemm_rows_scalar(const float* x, std::size_t m, std::size_t cols,
       float acc = b;
       for (std::size_t c = 0; c < cols; ++c) acc += xi[c] * wrow[c];
       y[i * rows + r] = acc;
+    }
+  }
+}
+
+void argmax_rows_scalar(const float* x, std::size_t m, std::size_t cols,
+                        const float* e, std::size_t r0, std::size_t r1,
+                        float* best_logit, std::size_t* best_index) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const float* er = e + r * cols;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float* xi = x + i * cols;
+      float logit = 0.0f;
+      for (std::size_t c = 0; c < cols; ++c) logit += xi[c] * er[c];
+      if (logit > best_logit[i]) {
+        best_logit[i] = logit;
+        best_index[i] = r;
+      }
     }
   }
 }

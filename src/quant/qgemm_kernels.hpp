@@ -69,15 +69,41 @@ void qgemm_rows_scalar(const float* x, std::size_t m, std::size_t cols,
                        const QuantizedMatrix& w, const float* bias, float* y,
                        std::size_t r0, std::size_t r1, float* scratch);
 
+/// Fused GEMV + argmax row-range kernel (the tied LM head): for each of
+/// the m rows x_i of x[m x cols], scans rows [r0, r1) of the plain fp32
+/// matrix e[rows x cols] in ascending order and replaces (best_logit[i],
+/// best_index[i]) with (dot(x_i, e_r), r) whenever that dot is strictly
+/// greater — the caller seeds both arrays. Each e row is read once and
+/// dotted against every x_i while it is hot. Strict `>` makes ties keep
+/// the lowest index and NaN logits never win. The scalar kernel
+/// accumulates each dot from 0.0f over ascending columns (bit-defining);
+/// the vector kernels reassociate it like qgemm's.
+using ArgmaxRowsFn = void (*)(const float* x, std::size_t m, std::size_t cols,
+                              const float* e, std::size_t r0, std::size_t r1,
+                              float* best_logit, std::size_t* best_index);
+
+/// Argmax kernel entry point for `level` (clamped to available).
+ArgmaxRowsFn argmax_rows_kernel(SimdLevel level);
+
+void argmax_rows_scalar(const float* x, std::size_t m, std::size_t cols,
+                        const float* e, std::size_t r0, std::size_t r1,
+                        float* best_logit, std::size_t* best_index);
+
 #if defined(LLMPQ_HAVE_AVX2)
 void qgemm_rows_avx2(const float* x, std::size_t m, std::size_t cols,
                      const QuantizedMatrix& w, const float* bias, float* y,
                      std::size_t r0, std::size_t r1, float* scratch);
+void argmax_rows_avx2(const float* x, std::size_t m, std::size_t cols,
+                      const float* e, std::size_t r0, std::size_t r1,
+                      float* best_logit, std::size_t* best_index);
 #endif
 #if defined(LLMPQ_HAVE_AVX512)
 void qgemm_rows_avx512(const float* x, std::size_t m, std::size_t cols,
                        const QuantizedMatrix& w, const float* bias, float* y,
                        std::size_t r0, std::size_t r1, float* scratch);
+void argmax_rows_avx512(const float* x, std::size_t m, std::size_t cols,
+                        const float* e, std::size_t r0, std::size_t r1,
+                        float* best_logit, std::size_t* best_index);
 #endif
 
 }  // namespace llmpq

@@ -187,5 +187,20 @@ inline void qgemm_rows_impl(const float* x, std::size_t m, std::size_t cols,
   }
 }
 
+inline void argmax_rows_impl(const float* x, std::size_t m, std::size_t cols,
+                             const float* e, std::size_t r0, std::size_t r1,
+                             float* best_logit, std::size_t* best_index) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const float* er = e + r * cols;
+    for (std::size_t i = 0; i < m; ++i) {
+      const float logit = dot_vec(x + i * cols, er, cols);
+      if (logit > best_logit[i]) {
+        best_logit[i] = logit;
+        best_index[i] = r;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace llmpq

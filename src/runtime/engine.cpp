@@ -92,6 +92,7 @@ struct PipelineEngine::Impl {
   std::vector<std::unique_ptr<StageMetrics>> stage_metrics;
   PhaseMetrics prefill_metrics;
   PhaseMetrics decode_metrics;
+  PhaseMetrics lm_head_metrics;  ///< master-thread project_and_sample
   std::atomic<std::uint64_t> generate_calls{0};
 
   // Workers are started last in the constructor and joined in shutdown();
@@ -435,8 +436,11 @@ std::vector<TokenId> PipelineEngine::Impl::run_pass(
     }
     while (mbm.outstanding() > 0) {
       const StageMsg m = pop_msg();
+      TRACE_SPAN1("engine", "lm_head", "rows", m.seqs);
+      StopwatchNs lm_timer;
       const std::vector<TokenId> toks =
           project_and_sample(weights, m.acts, m.spans);
+      lm_head_metrics.add(m.seqs, lm_timer.elapsed_ns());
       for (std::size_t s = 0; s < m.seqs; ++s) out[m.batch_start + s] = toks[s];
       mbm.complete_one();
     }
@@ -533,6 +537,7 @@ EngineStats PipelineEngine::stats() const {
   }
   s.prefill = im.prefill_metrics.snapshot();
   s.decode = im.decode_metrics.snapshot();
+  s.lm_head = im.lm_head_metrics.snapshot();
   s.generate_calls = im.generate_calls.load(std::memory_order_relaxed);
   return s;
 }

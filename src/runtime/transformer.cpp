@@ -296,21 +296,10 @@ std::vector<TokenId> project_and_sample(const ModelWeights& mw,
     rms_norm(last, mw.final_gamma);
   else
     layer_norm(last, mw.final_gamma, mw.final_beta);
-  for (std::size_t s = 0; s < seqs; ++s) {
-    const float* v = last.row(s);
-    std::size_t best = 0;
-    float best_logit = -1e30f;
-    for (std::size_t tok = 0; tok < vocab; ++tok) {
-      const float* te = mw.token_embedding.data() + tok * h;
-      float logit = 0.0f;
-      for (std::size_t c = 0; c < h; ++c) logit += v[c] * te[c];
-      if (logit > best_logit) {
-        best_logit = logit;
-        best = tok;
-      }
-    }
-    out[s] = static_cast<TokenId>(best);
-  }
+  std::vector<std::size_t> best(seqs);
+  gemv_argmax(last.flat(), seqs, h, mw.token_embedding, vocab, best);
+  for (std::size_t s = 0; s < seqs; ++s)
+    out[s] = static_cast<TokenId>(best[s]);
   return out;
 }
 

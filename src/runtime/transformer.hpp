@@ -74,7 +74,13 @@ Tensor2D embed(const ModelWeights& mw, const std::vector<TokenId>& tokens,
                std::span<const std::size_t> pos_offsets);
 
 /// Final layer norm + tied LM head + greedy sampling, returning one token
-/// per sequence (from each sequence's last position row).
+/// per sequence (from each sequence's last position row). The head is
+/// gemv_argmax (quant/qgemm.hpp): one pass over the tied embedding for
+/// all sequences, split into vocab blocks on the shared ThreadPool. Ties
+/// go to the lowest token id and the tokens do not depend on the thread
+/// count; at SimdLevel::kScalar the logits are bit-identical to a plain
+/// ascending-column dot, at vector levels they carry qgemm's
+/// reassociation tolerance.
 std::vector<TokenId> project_and_sample(const ModelWeights& mw,
                                         const Tensor2D& hidden,
                                         std::size_t seqs,

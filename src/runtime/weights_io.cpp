@@ -33,6 +33,15 @@ std::pair<std::string, std::vector<float>> read_array(std::ifstream& in) {
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof(count));
   check_arg(in.good() && count < (1ull << 32), "shard: corrupt array size");
+  // Bound the allocation by the bytes the file still holds, so a corrupt
+  // count fails here instead of in a multi-GiB vector constructor.
+  const std::streampos pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff left = in.tellg() - pos;
+  in.seekg(pos);
+  check_arg(in.good() &&
+                count <= static_cast<std::uint64_t>(left) / sizeof(float),
+            "shard: array size exceeds the remaining file");
   std::vector<float> data(count);
   in.read(reinterpret_cast<char*>(data.data()),
           static_cast<std::streamsize>(count * sizeof(float)));

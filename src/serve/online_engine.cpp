@@ -239,8 +239,9 @@ const HealthMonitorOptions* control_health(const OnlineEngineOptions& o) {
 }
 
 /// The live engine's clock: wall time since construction. The loop runs
-/// with the engine's lock held and releases it around each execution, so
-/// submit() can enqueue while the engine computes; waits sleep on the
+/// with the engine's lock held and releases it around each execution (and
+/// EngineExecutor around the user's replan/degrade hooks), so submit() can
+/// enqueue while the engine computes; waits sleep on the
 /// condition variable that submit() and close() signal.
 class WallClock final : public DispatchClock {
  public:
@@ -294,9 +295,12 @@ class WallClock final : public DispatchClock {
 /// swaps for applied re-plan deltas.
 class EngineExecutor final : public DispatchExecutor {
  public:
+  /// `hook_lock` is the live engine's lock, released around the user's
+  /// replan and degrade hooks; nullptr (trace replay) holds no lock.
   EngineExecutor(PipelineEngine& engine, const OnlineEngineOptions& options,
                  const std::deque<std::pair<std::vector<TokenId>, int>>& prompts,
-                 std::deque<std::vector<TokenId>>& generated)
+                 std::deque<std::vector<TokenId>>& generated,
+                 std::unique_lock<std::mutex>* hook_lock = nullptr)
       : options_(options),
         engine_(&engine),
         session_iter_(options.scheduler.policy ==
@@ -304,7 +308,8 @@ class EngineExecutor final : public DispatchExecutor {
                       (options.scheduler.exec == DecodeExec::kSession ||
                        options.scheduler.exec == DecodeExec::kContinuous)),
         prompts_(prompts),
-        generated_(generated) {
+        generated_(generated),
+        hook_lock_(hook_lock) {
     gopts_.deadline_s = options.dispatch_deadline_s;
   }
 
@@ -388,7 +393,9 @@ class EngineExecutor final : public DispatchExecutor {
       TRACE_INSTANT("serve", "mem-fault");
       if (options_.degrade &&
           mem_faults_ >= options_.degrade_after_mem_faults) {
-        if (PipelineEngine* next = options_.degrade(++degrade_level_)) {
+        const int level = ++degrade_level_;
+        if (PipelineEngine* next =
+                unlocked([&] { return options_.degrade(level); })) {
           // Step down the ladder (lower bitwidth / smaller micro-batch)
           // and give the cheaper engine a fresh fault budget.
           swap_engine(next, "OnlineEngineOptions::degrade returned an "
@@ -426,7 +433,8 @@ class EngineExecutor final : public DispatchExecutor {
   bool repairs() const override { return static_cast<bool>(options_.replan); }
 
   void repair(const HealthVerdict& verdict, ReplanEvent& ev) override {
-    const ReplanOutcome out = options_.replan(verdict);
+    const ReplanOutcome out =
+        unlocked([&] { return options_.replan(verdict); });
     ev.delta = out.delta;
     ev.applied = out.delta.kind != PlanDeltaKind::kNone &&
                  out.engine != nullptr && out.engine != engine_;
@@ -468,6 +476,22 @@ class EngineExecutor final : public DispatchExecutor {
     PipelineEngine* eng;  ///< engine holding the session's KV
     int sid;
   };
+
+  /// Runs a user hook with the live engine's lock released, so submit()
+  /// and close() go through while it works (a replan hook may build a
+  /// whole replacement engine). The hook sees no loop state; the engine
+  /// swap and every scheduler update stay under the lock, retaken even
+  /// when the hook throws.
+  template <typename Hook>
+  auto unlocked(Hook&& hook) -> decltype(hook()) {
+    if (hook_lock_ == nullptr) return hook();
+    struct Relock {
+      std::unique_lock<std::mutex>& lk;
+      ~Relock() { lk.lock(); }
+    } relock{*hook_lock_};
+    hook_lock_->unlock();
+    return hook();
+  }
 
   static void end_session(const Sess& s) {
     // On a broken engine end_session defers the page frees to restart().
@@ -593,6 +617,7 @@ class EngineExecutor final : public DispatchExecutor {
   const bool session_iter_;
   const std::deque<std::pair<std::vector<TokenId>, int>>& prompts_;
   std::deque<std::vector<TokenId>>& generated_;
+  std::unique_lock<std::mutex>* hook_lock_;  ///< live engine's, or nullptr
   GenerateOptions gopts_;
   std::unordered_map<int, Sess> sessions_;  ///< request id -> session
   std::size_t finished_seen_ = 0;           ///< reconcile() cursor
@@ -695,7 +720,7 @@ void OnlineEngine::serve_loop() {
   std::unique_lock<std::mutex> lk(mu_);
   try {
     WallClock clock(clock_, lk, cv_);
-    EngineExecutor exec(engine_, options_, prompts_, generated_);
+    EngineExecutor exec(engine_, options_, prompts_, generated_, &lk);
     report_ =
         DispatchLoop(scheduler_, clock, exec, control_health(options_)).run();
   } catch (...) {

@@ -87,7 +87,9 @@ struct OnlineEngineOptions {
   /// replacement alive until wait() returns. The returned engine is
   /// validated before the swap (same vocab and layer count, healthy) —
   /// see validate_replacement_engine; a mismatch is a terminal serving
-  /// error, not a silent swap.
+  /// error, not a silent swap. The live OnlineEngine calls it (and
+  /// `replan`) on its serving thread without holding its lock, so
+  /// submit() and close() never wait for a hook.
   std::function<PipelineEngine*(int level)> degrade;
 
   // ---- Online control loop (DESIGN.md "Online control loop & elastic

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -504,6 +508,40 @@ TEST_F(MigrationTest, IncompatibleReplanEngineIsATerminalServingError) {
         << e.what();
     EXPECT_TRUE(names_incompatible(e)) << e.what();
   }
+}
+
+TEST_F(MigrationTest, SlowReplanHookDoesNotBlockSubmit) {
+  // The live loop runs the replan hook with its lock released: a submit()
+  // issued while a 300 ms hook is running returns at once.
+  FaultPlan plan;  // two allocation faults: a memory-pressure verdict
+  plan.rules.push_back(rule("engine.kv_alloc", FaultKind::kAllocFail, 1.0, 2));
+  OnlineEngineOptions opt;
+  opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
+  opt.scheduler.max_retries = 4;
+  opt.scheduler.retry_backoff_s = 0.001;
+  opt.health.warmup = 0;
+  std::promise<void> entered;
+  std::atomic<int> consulted{0};
+  opt.replan = [&](const HealthVerdict&) {
+    if (consulted.fetch_add(1) == 0) entered.set_value();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    return ReplanOutcome{};  // no delta: keep the engine
+  };
+  ArmedPlan armed(plan);
+  OnlineEngine server(engine_, opt);
+  for (int i = 0; i < 2; ++i) server.submit(prompts_[i], 4);
+  entered.get_future().wait();
+  StopwatchNs submit_time;
+  server.submit(prompts_[2], 4);
+  const double submit_s = submit_time.elapsed_s();
+  server.close();
+  const OnlineReport rep = server.wait();
+  EXPECT_LT(submit_s, 0.1);
+  EXPECT_GE(consulted.load(), 1);
+  EXPECT_EQ(rep.completed, 3);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(rep.generated[static_cast<std::size_t>(i)],
+              reference_[static_cast<std::size_t>(i)]);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "cost/mem_model.hpp"
 #include "runtime/engine.hpp"
@@ -338,9 +340,14 @@ TEST(Engine, StatsReportPerStageAndPerPhaseProgress) {
   EXPECT_EQ(s.decode.tokens, 2u * 4u * 4u);
   EXPECT_GT(s.prefill.seconds, 0.0);
   EXPECT_GT(s.decode.tokens_per_s(), 0.0);
+  // The master's LM head samples one row per prompt per pass: the
+  // prefill's 4 plus 4 decode rounds of 4, per call.
+  EXPECT_EQ(s.lm_head.tokens, 2u * 4u * 5u);
+  EXPECT_GT(s.lm_head.seconds, 0.0);
 
   const std::string report = format_engine_stats(s);
   EXPECT_NE(report.find("prefill"), std::string::npos);
+  EXPECT_NE(report.find("lm_head: 40 rows"), std::string::npos);
   EXPECT_NE(report.find("generate() calls: 2"), std::string::npos);
 }
 
@@ -370,6 +377,33 @@ TEST(WeightsIo, ShardRoundTrips) {
   EXPECT_EQ(back.ln2_beta, master.ln2_beta);
   // Wrong layer index must be rejected.
   EXPECT_THROW(load_layer_shard(shard_filename(dir, 0), spec, 1), Error);
+}
+
+TEST(WeightsIo, CorruptArraySizeThrowsBeforeAllocating) {
+  // A 31-byte shard whose first array header claims 2^31 floats (8 GiB):
+  // the reader must compare the claim with the bytes left and throw, not
+  // allocate it.
+  const std::string path = ::testing::TempDir() + "lpq_corrupt.lpqw";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    const std::uint32_t version = 1, layer = 0, name_len = 3;
+    const std::uint64_t count = 1ull << 31;
+    out.write("LPQW", 4);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&layer), sizeof(layer));
+    out.write(reinterpret_cast<const char*>(&name_len), sizeof(name_len));
+    out.write("qkv", 3);
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.write("\0\0\0\0", 4);
+  }
+  try {
+    (void)load_layer_shard(path, tiny_spec(2, 32), 0);
+    FAIL() << "corrupt shard was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds the remaining file"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(OtfQuantizer, MatchesDirectlyBuiltModel) {

@@ -398,6 +398,8 @@ TEST(MetricsJson, RegistryExportsSchemaV1) {
   stats.generate_calls = 2;
   stats.prefill.tokens = 128;
   stats.prefill.seconds = 0.25;
+  stats.lm_head.tokens = 40;
+  stats.lm_head.seconds = 0.125;
   StageStats stage;
   stage.busy_s = 0.75;
   stage.microbatches = 8;
@@ -417,6 +419,8 @@ TEST(MetricsJson, RegistryExportsSchemaV1) {
   const JsonValue& engine = doc.at("engines").at("pipeline");
   EXPECT_DOUBLE_EQ(engine.at("generate_calls").number, 2.0);
   EXPECT_DOUBLE_EQ(engine.at("prefill").at("tokens").number, 128.0);
+  EXPECT_DOUBLE_EQ(engine.at("lm_head").at("tokens").number, 40.0);
+  EXPECT_DOUBLE_EQ(engine.at("lm_head").at("seconds").number, 0.125);
   ASSERT_EQ(engine.at("stages").array.size(), 1u);
   EXPECT_DOUBLE_EQ(engine.at("stages").array[0].at("busy_s").number, 0.75);
 }
