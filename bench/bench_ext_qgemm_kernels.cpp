@@ -10,12 +10,16 @@
 // measurement isolates SIMD gain from thread-pool scaling. The tied LM
 // head's argmax kernel (argmax_rows_kernel) is timed the same way at
 // OPT-125m's shape, 50272 x 768 at m = 4, and reported as bits 32,
-// format "lm_head".
+// format "lm_head". The attention row kernel (attend_rows_kernel) is
+// timed at OPT-125m's 12 heads x 64 as bits 32, format "attn_prefill"
+// (one 512-row causal prefill) and "attn_decode" (4 sequences, one row
+// each over 520 cached positions).
 //
 // Flags:
 //   --json PATH   write a "llmpq-kernels/v1" artifact
 //   --min_ms N    minimum measured wall time per cell (default 50)
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -28,6 +32,7 @@
 #include "quant/format.hpp"
 #include "quant/qgemm_kernels.hpp"
 #include "quant/quantize.hpp"
+#include "runtime/attention.hpp"
 
 namespace {
 
@@ -148,6 +153,46 @@ int main(int argc, char** argv) {
           min_ms);
       if (level == SimdLevel::kScalar) scalar_ms = ms;
       cells.push_back(record(32, "lm_head", level, ms, head_flop, scalar_ms));
+    }
+  }
+
+  // Causal attention at OPT-125m's head shape, one (sequence, head) call
+  // after another on this thread.
+  {
+    const std::size_t heads = 12, dh = 64, h = heads * dh;
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    struct Shape {
+      const char* format;
+      std::size_t seqs, rows, ctx;
+    };
+    for (const Shape& sh : {Shape{"attn_prefill", 1, 512, 512},
+                            Shape{"attn_decode", 4, 1, 520}}) {
+      const auto kv = random_values(sh.seqs * 2 * sh.ctx * h, 6, 1.0f);
+      const auto q = random_values(sh.seqs * sh.rows * 3 * h, 7, 1.0f);
+      std::vector<float> out(sh.seqs * sh.rows * h);
+      std::vector<const float*> rows_kv(sh.seqs * 2 * sh.ctx);
+      for (std::size_t i = 0; i < rows_kv.size(); ++i)
+        rows_kv[i] = kv.data() + i * h;
+      const double attn_flop =
+          4.0 * static_cast<double>(sh.seqs * heads * dh) *
+          static_cast<double>(attended_positions(sh.rows, sh.ctx));
+      double scalar_ms = 0.0;
+      for (const SimdLevel level : levels) {
+        const AttendRowsFn fn = attend_rows_kernel(level);
+        const double ms = time_ms(
+            [&] {
+              for (std::size_t s = 0; s < sh.seqs; ++s) {
+                const float* const* k = rows_kv.data() + s * 2 * sh.ctx;
+                for (std::size_t head = 0; head < heads; ++head)
+                  fn(q.data() + s * sh.rows * 3 * h + head * dh, 3 * h, k,
+                     k + sh.ctx, head * dh, dh, sh.ctx - sh.rows + 1, sh.rows,
+                     scale, out.data() + s * sh.rows * h + head * dh, h);
+              }
+            },
+            min_ms);
+        if (level == SimdLevel::kScalar) scalar_ms = ms;
+        cells.push_back(record(32, sh.format, level, ms, attn_flop, scalar_ms));
+      }
     }
   }
 

@@ -32,8 +32,16 @@ StageStats StageMetrics::snapshot() const {
   s.idle_s = ns_to_s(idle_ns_.load(std::memory_order_relaxed));
   s.qgemm_s = ns_to_s(qgemm_ns_.load(std::memory_order_relaxed));
   s.attn_s = ns_to_s(attn_ns_.load(std::memory_order_relaxed));
+  s.attn_positions = attn_positions_.load(std::memory_order_relaxed);
   s.microbatches = microbatches_.load(std::memory_order_relaxed);
   return s;
+}
+
+double EngineStats::attn_gflops(std::size_t p) const {
+  const StageStats& s = stages[p];
+  return s.attn_s > 0.0 ? 4.0 * static_cast<double>(s.attn_positions) *
+                              static_cast<double>(head_dim) / s.attn_s * 1e-9
+                        : 0.0;
 }
 
 PhaseStats PhaseMetrics::snapshot() const {
@@ -46,12 +54,13 @@ PhaseStats PhaseMetrics::snapshot() const {
 std::string format_engine_stats(const EngineStats& stats) {
   std::ostringstream out;
   Table t({"stage", "busy_ms", "idle_ms", "util", "qgemm_ms", "attn_ms",
-           "ubatches", "inbox_hw"});
+           "attn_gflops", "ubatches", "inbox_hw"});
   for (std::size_t p = 0; p < stats.stages.size(); ++p) {
     const StageStats& s = stats.stages[p];
     t.add_row({std::to_string(p), Table::fmt(s.busy_s * 1e3),
                Table::fmt(s.idle_s * 1e3), Table::fmt(s.utilization()),
                Table::fmt(s.qgemm_s * 1e3), Table::fmt(s.attn_s * 1e3),
+               Table::fmt(stats.attn_gflops(p)),
                std::to_string(s.microbatches),
                std::to_string(s.inbox_high_water)});
   }
@@ -100,6 +109,7 @@ void write_json(JsonWriter& w, const StageStats& s) {
   w.kv("idle_s", s.idle_s);
   w.kv("qgemm_s", s.qgemm_s);
   w.kv("attn_s", s.attn_s);
+  w.kv("attn_positions", s.attn_positions);
   w.kv("utilization", s.utilization());
   w.kv("microbatches", s.microbatches);
   w.kv("inbox_high_water", s.inbox_high_water);
@@ -117,6 +127,7 @@ void write_json(JsonWriter& w, const PhaseStats& s) {
 void write_json(JsonWriter& w, const EngineStats& s) {
   w.begin_object();
   w.kv("generate_calls", s.generate_calls);
+  w.kv("head_dim", s.head_dim);
   w.key("prefill");
   write_json(w, s.prefill);
   w.key("decode");

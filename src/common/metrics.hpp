@@ -48,6 +48,9 @@ struct StageStats {
   double idle_s = 0.0;   ///< wall time blocked on the stage inbox
   double qgemm_s = 0.0;  ///< busy-time share spent in linear (qgemm) ops
   double attn_s = 0.0;   ///< busy-time share spent in attention
+  /// Attention work: the sum over query rows of the attended span, times
+  /// heads. One position costs 4 * head_dim FLOPs (QK^T and PV).
+  std::uint64_t attn_positions = 0;
   std::uint64_t microbatches = 0;    ///< micro-batches processed
   std::size_t inbox_high_water = 0;  ///< max queued micro-batches observed
 
@@ -73,6 +76,12 @@ struct EngineStats {
   /// the master's share of each pass, next to the stages' busy time.
   PhaseStats lm_head;
   std::uint64_t generate_calls = 0;  ///< completed generate() calls
+  /// The model's attention head width; with StageStats::attn_positions it
+  /// gives the stages' attention FLOPs.
+  std::size_t head_dim = 0;
+
+  /// Achieved attention GFLOP/s of stage `p` (0 when it spent no time).
+  double attn_gflops(std::size_t p) const;
 };
 
 /// Per-stage accumulator: written by exactly one worker thread, read
@@ -84,6 +93,9 @@ class StageMetrics {
   void add_idle_ns(std::uint64_t ns) { idle_ns_ += ns; }
   void add_qgemm_ns(std::uint64_t ns) { qgemm_ns_ += ns; }
   void add_attn_ns(std::uint64_t ns) { attn_ns_ += ns; }
+  void add_attn_positions(std::uint64_t n) {
+    attn_positions_.fetch_add(n, std::memory_order_relaxed);
+  }
   void add_microbatch() { ++microbatches_; }
 
   /// Consistent-enough copy for reporting (inbox high-water is filled in by
@@ -95,6 +107,7 @@ class StageMetrics {
   std::atomic<std::uint64_t> idle_ns_{0};
   std::atomic<std::uint64_t> qgemm_ns_{0};
   std::atomic<std::uint64_t> attn_ns_{0};
+  std::atomic<std::uint64_t> attn_positions_{0};
   std::atomic<std::uint64_t> microbatches_{0};
 };
 

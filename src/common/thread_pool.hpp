@@ -12,6 +12,20 @@
 
 namespace llmpq {
 
+/// Below this many multiply-accumulates the fork/join overhead of the pool
+/// outweighs the parallel speedup of qgemm() and gemv_argmax(); measured
+/// on small CPU hosts.
+inline constexpr std::size_t kParallelWorkThreshold = 64 * 1024;
+
+/// attend()'s counterpart, in attended (position, feature) pairs. On a
+/// 4-core AVX-512 host an isolated fork pays from ~100K pairs (8 decode
+/// rows over 30 positions at hidden 768: ~58 us serial, ~43 us forked),
+/// but in the engine the pool is shared with the other stages' qgemm, so
+/// chat-sized passes (contexts of 30 tokens or fewer, <= 184K pairs) stay
+/// serial with margin while a 4-row decode over 520 positions (1.6M
+/// pairs: ~890 us serial, ~340 us forked) forks.
+inline constexpr std::size_t kAttnParallelWorkThreshold = 512 * 1024;
+
 /// Fixed-size thread pool used for embarrassingly parallel sweeps (profiling
 /// grids, per-ordering planner solves) and the threaded qgemm kernel. Tasks
 /// are type-erased closures; use submit() to get a future, or parallel_for
@@ -61,6 +75,12 @@ class ThreadPool {
   /// Nested parallel kernels use this to fall back to serial execution
   /// instead of blocking on futures their own pool may never run.
   static bool inside_worker();
+
+  /// The threaded kernels' fork rule: run serially on a 1-thread pool,
+  /// from inside a pool worker, or when `work` is below `threshold`.
+  bool run_serial(std::size_t work, std::size_t threshold) const {
+    return size() <= 1 || inside_worker() || work < threshold;
+  }
 
  private:
   void worker_loop();

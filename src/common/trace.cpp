@@ -344,6 +344,7 @@ void TraceSession::write_chrome_trace(std::ostream& os) const {
       w.key("args");
       w.begin_object();
       w.kv(e.arg_name, e.arg_value);
+      if (e.arg2_name != nullptr) w.kv(e.arg2_name, e.arg2_value);
       w.end_object();
     }
     w.end_object();
@@ -371,11 +372,14 @@ bool TraceSession::write_chrome_trace_file(const std::string& path) const {
 // ---- TraceSpan.
 
 TraceSpan::TraceSpan(const char* category, const char* name,
-                     const char* arg_name, double arg_value)
+                     const char* arg_name, double arg_value,
+                     const char* arg2_name, double arg2_value)
     : category_(category),
       name_(name),
       arg_name_(arg_name),
       arg_value_(arg_value),
+      arg2_name_(arg2_name),
+      arg2_value_(arg2_value),
       start_ns_(0),
       active_(TraceSession::enabled()) {
   if (active_) start_ns_ = seconds_to_ns(TraceSession::now_s());
@@ -395,6 +399,8 @@ TraceSpan::~TraceSpan() {
   e.tid = inst.thread_buffer()->tid;
   e.arg_name = arg_name_;
   e.arg_value = arg_value_;
+  e.arg2_name = arg2_name_;
+  e.arg2_value = arg2_value_;
   inst.append(e);
 }
 

@@ -41,7 +41,7 @@ constexpr std::uint32_t kSim = 1;
 constexpr std::uint32_t kServe = 2;
 }  // namespace trace_pids
 
-/// One recorded event (POD; ~64 bytes). `phase` uses the Chrome trace
+/// One recorded event (POD; ~80 bytes). `phase` uses the Chrome trace
 /// phase letters: 'X' complete, 'C' counter, 'b'/'e' async begin/end,
 /// 'i' instant.
 struct TraceEvent {
@@ -49,6 +49,8 @@ struct TraceEvent {
   const char* name = nullptr;
   const char* arg_name = nullptr;  ///< optional numeric arg key
   double arg_value = 0.0;
+  const char* arg2_name = nullptr;  ///< optional second numeric arg key
+  double arg2_value = 0.0;
   std::uint64_t ts_ns = 0;   ///< since session start (or virtual clock)
   std::uint64_t dur_ns = 0;  ///< 'X' only
   std::uint64_t id = 0;      ///< async correlation id ('b'/'e')
@@ -146,7 +148,8 @@ class TraceSession {
 class TraceSpan {
  public:
   TraceSpan(const char* category, const char* name,
-            const char* arg_name = nullptr, double arg_value = 0.0);
+            const char* arg_name = nullptr, double arg_value = 0.0,
+            const char* arg2_name = nullptr, double arg2_value = 0.0);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -157,6 +160,8 @@ class TraceSpan {
   const char* name_;
   const char* arg_name_;
   double arg_value_;
+  const char* arg2_name_;
+  double arg2_value_;
   std::uint64_t start_ns_;
   bool active_;
 };

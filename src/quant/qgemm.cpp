@@ -11,10 +11,6 @@ namespace llmpq {
 
 namespace {
 
-/// Below this many multiply-accumulates the fork/join overhead of the pool
-/// outweighs the parallel speedup; measured on small CPU hosts.
-constexpr std::size_t kParallelWorkThreshold = 64 * 1024;
-
 /// gemv_argmax's starting logit: any finite logit above it wins.
 constexpr float kNoLogit = -1e30f;
 
@@ -53,8 +49,7 @@ void qgemm(std::span<const float> x, std::size_t m, std::size_t cols,
   const QgemmRowsFn kernel = qgemm_rows_kernel(active_simd_level());
   const float* bias_ptr = bias.empty() ? nullptr : bias.data();
   ThreadPool& pool = ThreadPool::shared();
-  if (pool.size() <= 1 || ThreadPool::inside_worker() ||
-      m * cols * rows < kParallelWorkThreshold) {
+  if (pool.run_serial(m * cols * rows, kParallelWorkThreshold)) {
     std::vector<float> scratch(cols);
     kernel(x.data(), m, cols, w, bias_ptr, y.data(), 0, rows, scratch.data());
     return;
@@ -84,8 +79,7 @@ void gemv_argmax(std::span<const float> x, std::size_t m, std::size_t cols,
   std::vector<float> best_logit(m, kNoLogit);
   std::fill(best_index.begin(), best_index.end(), 0);
   ThreadPool& pool = ThreadPool::shared();
-  if (pool.size() <= 1 || ThreadPool::inside_worker() ||
-      m * cols * rows < kParallelWorkThreshold) {
+  if (pool.run_serial(m * cols * rows, kParallelWorkThreshold)) {
     kernel(x.data(), m, cols, e.data(), 0, rows, best_logit.data(),
            best_index.data());
     return;

@@ -539,6 +539,8 @@ EngineStats PipelineEngine::stats() const {
   s.decode = im.decode_metrics.snapshot();
   s.lm_head = im.lm_head_metrics.snapshot();
   s.generate_calls = im.generate_calls.load(std::memory_order_relaxed);
+  s.head_dim = static_cast<std::size_t>(im.weights.spec.hidden /
+                                        im.weights.spec.heads);
   return s;
 }
 

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/trace.hpp"
 #include "quant/qgemm.hpp"
+#include "runtime/attention.hpp"
 
 namespace llmpq {
 
@@ -107,15 +108,25 @@ void layer_forward_core(const ModelSpec& spec, const LayerWeights& w,
   // Append K/V to the cache, then attend over everything cached. Each
   // sequence attends only over its own filled positions — a ragged batch
   // has no pad rows, so there is nothing wrong to attend to.
-  std::optional<TraceSpan> attn_span;
-  attn_span.emplace("engine", "attn", "rows", static_cast<double>(rows));
-  if (metrics != nullptr) sw.restart();
-  Tensor2D attn_ctx(rows, h, 0.0f);
-  const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-  std::vector<float> scores;
-  std::vector<const float*> k_rows, v_rows;
-  std::size_t row_base = 0;
+  std::size_t max_ctx = 0, positions = 0, kv_slots = 0;
   for (const SeqSpan& sp : spans) {
+    const std::size_t ctx = cache.filled(sp.seq) + sp.len;
+    max_ctx = std::max(max_ctx, ctx);
+    positions += attended_positions(sp.len, ctx);
+    kv_slots += 2 * ctx;
+  }
+  std::optional<TraceSpan> attn_span;
+  attn_span.emplace("engine", "attn", "rows", static_cast<double>(rows),
+                    "ctx", static_cast<double>(max_ctx));
+  if (metrics != nullptr) sw.restart();
+  Tensor2D attn_ctx(rows, h);
+  // Per-position K/V pointers: [k of ctx positions, v of ctx positions]
+  // per sequence.
+  std::vector<const float*> kv_rows(kv_slots);
+  std::vector<AttnSeq> seqs(spans.size());
+  std::size_t row_base = 0, slot = 0;
+  for (std::size_t s = 0; s < spans.size(); ++s) {
+    const SeqSpan& sp = spans[s];
     const auto sid = sp.seq;
     for (std::size_t t = 0; t < sp.len; ++t) {
       float* qkv_row = qkv.row(row_base + t);
@@ -129,41 +140,28 @@ void layer_forward_core(const ModelSpec& spec, const LayerWeights& w,
       }
       cache.append(sid, qkv_row + h, qkv_row + 2 * h);
     }
-    const std::size_t ctx_len = cache.filled(sid);
-    k_rows.resize(ctx_len);
-    v_rows.resize(ctx_len);
-    for (std::size_t p = 0; p < ctx_len; ++p) {
+    const std::size_t ctx = cache.filled(sid);
+    const float** k_rows = kv_rows.data() + slot;
+    const float** v_rows = k_rows + ctx;
+    for (std::size_t p = 0; p < ctx; ++p) {
       k_rows[p] = cache.k_at(sid, p);
       v_rows[p] = cache.v_at(sid, p);
     }
-    for (std::size_t t = 0; t < sp.len; ++t) {
-      const std::size_t row = row_base + t;
-      const float* q = qkv.row(row);
-      // Causal span: this token may attend to cache positions
-      // [0, ctx_len - sp.len + t].
-      const std::size_t span = ctx_len - sp.len + t + 1;
-      scores.resize(span);
-      float* ctx_out = attn_ctx.row(row);
-      for (std::size_t head = 0; head < heads; ++head) {
-        const std::size_t off = head * dh;
-        for (std::size_t p = 0; p < span; ++p) {
-          const float* k = k_rows[p] + off;
-          float dot = 0.0f;
-          for (std::size_t d = 0; d < dh; ++d) dot += q[off + d] * k[d];
-          scores[p] = dot * inv_sqrt_dh;
-        }
-        softmax(std::span<float>(scores.data(), span));
-        for (std::size_t p = 0; p < span; ++p) {
-          const float* v = v_rows[p] + off;
-          const float sp_w = scores[p];
-          for (std::size_t d = 0; d < dh; ++d) ctx_out[off + d] += sp_w * v[d];
-        }
-      }
-    }
+    seqs[s] = AttnSeq{qkv.flat().data() + row_base * 3 * h,
+                      attn_ctx.flat().data() + row_base * h,
+                      k_rows,
+                      v_rows,
+                      sp.len,
+                      ctx};
+    slot += 2 * ctx;
     row_base += sp.len;
   }
+  attend(seqs, heads, dh, 3 * h, h);
 
-  if (metrics != nullptr) metrics->add_attn_ns(sw.elapsed_ns());
+  if (metrics != nullptr) {
+    metrics->add_attn_ns(sw.elapsed_ns());
+    metrics->add_attn_positions(positions * heads);
+  }
   attn_span.reset();
 
   if (observer != nullptr)

@@ -333,11 +333,14 @@ class EngineExecutor final : public DispatchExecutor {
                   d.phase == ServePhase::kPrefillPass ? "execute-prefill"
                                                       : "execute-decode",
                   "batch", d.request_ids.size());
+      // The dispatch wall clock starts before the dispatch-level fault
+      // site, so its delay is charged to trace replay's virtual clock and
+      // to the health sample, as the simulator charges "sim.dispatch".
+      StopwatchNs wall;
       if (FaultInjector::armed())
         serve_fault_site("serve.dispatch", fault_events_);
-      StopwatchNs wall;
       PipelineEngine& engine = *engine_;
-      // Per-stage straggler sites first (inside the dispatch wall clock),
+      // Per-stage straggler sites next (inside the dispatch wall clock),
       // then a stats snapshot so the health sample can attribute this
       // dispatch's cost: measured per-stage busy delta plus the
       // serving-level injected delay per stage.

@@ -722,6 +722,25 @@ TEST_F(ServeFaultTest, DispatchFaultRetriedToCompletion) {
   EXPECT_EQ(rep.engine_restarts, 0);  // the engine itself never faulted
 }
 
+TEST_F(ServeFaultTest, DispatchDelayIsChargedToTheReplayClock) {
+  // A delay rule at the dispatch-level site is part of the dispatch's cost
+  // on trace replay's virtual clock, as "sim.dispatch" delays are in the
+  // simulator: a 200 ms delay on the only dispatch of a one-row trace
+  // whose engine work takes a few milliseconds.
+  constexpr double kDelayMs = 200.0;
+  FaultPlan plan;
+  plan.rules.push_back(
+      rule("serve.dispatch", FaultKind::kDelay, 1.0, 1, kDelayMs));
+  OnlineEngineOptions opt;
+  opt.scheduler.policy = SchedulerPolicy::kIterationLevel;
+  ArmedPlan armed(plan);
+  const OnlineReport rep = serve_trace(engine_, burst_trace(1, 1), opt);
+  EXPECT_EQ(rep.completed, 1);
+  EXPECT_EQ(rep.fault_events, 1);
+  EXPECT_GE(rep.makespan_s, kDelayMs * 1e-3);
+  EXPECT_GE(rep.latency.max_s, kDelayMs * 1e-3);
+}
+
 TEST_F(ServeFaultTest, MemFaultsWalkTheDegradationLadder) {
   FaultPlan plan;
   plan.rules.push_back(

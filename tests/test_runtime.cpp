@@ -334,7 +334,14 @@ TEST(Engine, StatsReportPerStageAndPerPhaseProgress) {
     EXPECT_LE(st.utilization(), 1.0);
     // The busy split is itemized and cannot exceed the total.
     EXPECT_LE(st.qgemm_s + st.attn_s, st.busy_s + 1e-3);
+    // Attended positions x heads, per stage: each of the 4 sequences
+    // attends 1 + ... + 6 = 21 positions in prefill and 7 + 8 + 9 + 10
+    // = 34 over its 4 decode steps, in each of the stage's 2 layers under
+    // each of 4 heads, in each of 2 calls.
+    EXPECT_EQ(st.attn_positions, 2u * 4u * (21u + 34u) * 2u * 4u);
   }
+  EXPECT_EQ(s.head_dim, 8u);
+  EXPECT_GT(s.attn_gflops(0), 0.0);
   // 2 calls x 4 prompts x 6 prompt tokens / x 4 decoded tokens.
   EXPECT_EQ(s.prefill.tokens, 2u * 4u * 6u);
   EXPECT_EQ(s.decode.tokens, 2u * 4u * 4u);
@@ -348,6 +355,7 @@ TEST(Engine, StatsReportPerStageAndPerPhaseProgress) {
   const std::string report = format_engine_stats(s);
   EXPECT_NE(report.find("prefill"), std::string::npos);
   EXPECT_NE(report.find("lm_head: 40 rows"), std::string::npos);
+  EXPECT_NE(report.find("attn_gflops"), std::string::npos);
   EXPECT_NE(report.find("generate() calls: 2"), std::string::npos);
 }
 
